@@ -98,6 +98,7 @@ from .workload import (
     QualityOracle,
     Workload,
     evaluate_quality,
+    load_calibration,
     load_workload,
     total_macs,
 )

@@ -61,15 +61,26 @@ def tasd_matmul(d: Decomposition, b):
     return freeze(out), macs
 
 
+def reference_norm(a, b) -> float:
+    """|| A @ B ||_F, the denominator of every relative error."""
+    denom = float(np.linalg.norm(matmul(a, b)))
+    if denom == 0.0:
+        raise DegenerateProduct("reference product has zero Frobenius norm")
+    return denom
+
+
+def residual_error(residual, b, denom: float) -> float:
+    """|| R @ B ||_F / denom, with R = A - approx(A) and denom from
+    ``reference_norm(A, B)``."""
+    return float(np.linalg.norm(matmul(residual, b))) / denom
+
+
 def relative_error(a, config, b) -> float:
     """|| (A - approx(A)) @ B ||_F / || A @ B ||_F."""
     a = as_matrix(a)
     b = as_matrix(b)
-    denom = float(np.linalg.norm(matmul(a, b)))
-    if denom == 0.0:
-        raise DegenerateProduct("reference product has zero Frobenius norm")
-    residual = decompose(a, config).residual
-    return float(np.linalg.norm(matmul(residual, b))) / denom
+    denom = reference_norm(a, b)
+    return residual_error(decompose(a, config).residual, b, denom)
 
 
 def default_error_configs(ms=(4, 8)) -> list[TasdConfig]:
@@ -106,13 +117,8 @@ def error_sweep(
             rows, cols, 1.0 - sparsities[si], "uniform", seed=(master_seed, 0, si, seed)
         )
         b = random_matrix(cols, cols, 1.0, "uniform", seed=(master_seed, 1, si, seed))
-        denom = float(np.linalg.norm(matmul(a, b)))
-        if denom == 0.0:
-            raise DegenerateProduct("reference product has zero Frobenius norm")
-        errs = []
-        for cfg in configs:
-            residual = decompose(a, cfg).residual
-            errs.append(float(np.linalg.norm(matmul(residual, b))) / denom)
+        denom = reference_norm(a, b)
+        errs = [residual_error(decompose(a, cfg).residual, b, denom) for cfg in configs]
         return si, errs
 
     by_cell: dict[tuple[int, int], list[float]] = {

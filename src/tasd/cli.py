@@ -22,7 +22,7 @@ from .decomp import (
     render_sweep_csv,
     sweep_synthetic,
 )
-from .errors import MissingCalibration, TasdError
+from .errors import TasdError
 from .hwmodel import (
     BUILTIN_SPECS,
     HwSpec,
@@ -39,7 +39,7 @@ from .search import (
     load_assignment,
     select_activation_configs,
 )
-from .workload import QualityOracle, load_workload
+from .workload import QualityOracle, load_calibration, load_workload
 
 log = logging.getLogger("tasd.cli")
 
@@ -196,15 +196,9 @@ def cmd_search(args) -> int:
         )
         log.info("greedy configured %d of %d layers", len(assignment), len(wl.layers))
     else:
-        stats = []
-        for ly in wl.layers:
-            if ly.calibration_dir is None:
-                raise MissingCalibration(
-                    f"layer {ly.layer_id!r} has no calibration_dir"
-                )
-            paths = sorted(Path(ly.calibration_dir).glob("*"))
-            samples = [load_matrix(p) for p in paths if p.is_file()]
-            stats.append(profile_calibration(samples, ly.layer_id))
+        stats = [
+            profile_calibration(load_calibration(ly), ly.layer_id) for ly in wl.layers
+        ]
         assignment = select_activation_configs(
             stats,
             menu,

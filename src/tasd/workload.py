@@ -20,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .approxmm import relative_error
+from .approxmm import reference_norm, residual_error
 from .decomp import approximate, decompose, drop_metrics
 from .errors import (
     DegenerateProduct,
     DimensionMismatch,
     MissingCalibration,
+    NonFiniteEntry,
     OracleFailure,
     SchemaError,
 )
@@ -54,6 +55,8 @@ class LayerSpec:
                 f"layer {self.layer_id!r} weight is {self.weight.shape}, "
                 f"expected ({self.gemm_m}, {self.gemm_k})"
             )
+        if self.weight is not None and not np.isfinite(self.weight).all():
+            raise NonFiniteEntry(f"layer {self.layer_id!r} weight has NaN or Inf entries")
 
 
 @dataclass(frozen=True)
@@ -155,6 +158,24 @@ def load_workload(manifest_path) -> Workload:
     return Workload(name=name, layers=tuple(layers), baseline_quality=baseline)
 
 
+def load_calibration(layer: LayerSpec) -> list[DenseMatrix]:
+    """Every matrix file under the layer's calibration_dir, in file-name
+    order; each sample is one K-row activation batch."""
+    if layer.calibration_dir is None:
+        raise MissingCalibration(f"layer {layer.layer_id!r} has no calibration_dir")
+    paths = sorted(Path(layer.calibration_dir).glob("*"))
+    samples = [load_matrix(p) for p in paths if p.is_file()]
+    if not samples:
+        raise MissingCalibration(f"no calibration matrices under {layer.calibration_dir}")
+    for sample in samples:
+        if sample.shape[0] != layer.gemm_k:
+            raise DimensionMismatch(
+                f"calibration sample for {layer.layer_id!r} has "
+                f"{sample.shape[0]} rows, expected {layer.gemm_k}"
+            )
+    return samples
+
+
 # ---------------------------------------------------------------------------
 # quality oracles
 
@@ -163,11 +184,20 @@ def load_workload(manifest_path) -> Workload:
 class QualityOracle:
     """Scores an assignment; kinds: retained_magnitude, output_error,
     external_command. The two proxies return baseline_quality for a dense
-    assignment; the external command's stdout is returned as-is."""
+    assignment; the external command's stdout is returned as-is.
+
+    The proxies are means of per-layer scores, so each (layer, config)
+    pair is scored once and kept as a float, next to each layer's
+    calibration samples and their reference norms ||W @ B||_F. The caches
+    hold the data of one workload: scoring another Workload object clears
+    them. The external command always scores the whole network.
+    """
 
     kind: str
     command: object = None
+    _workload: Workload | None = field(default=None, repr=False, compare=False)
     _calibration: dict = field(default_factory=dict, repr=False, compare=False)
+    _scores: dict = field(default_factory=dict, repr=False, compare=False)
 
     KINDS = ("retained_magnitude", "output_error", "external_command")
 
@@ -190,66 +220,56 @@ class QualityOracle:
         return cls("external_command", command=command)
 
     def evaluate(self, workload: Workload, assignment: Assignment) -> float:
+        if self.kind == "external_command":
+            return self._external(workload, assignment)
+        if workload is not self._workload:
+            self._workload = workload
+            self._calibration.clear()
+            self._scores.clear()
+        magnitude = self.kind == "retained_magnitude"
+        scores = []
+        for ly in workload.layers:
+            cfg = assignment.get(ly.layer_id)
+            if cfg is None or cfg.is_dense:
+                scores.append(1.0 if magnitude else 0.0)
+            else:
+                scores.append(self._layer_score(ly, cfg))
+        if magnitude:
+            return workload.baseline_quality * float(np.mean(scores))
+        return workload.baseline_quality * (1.0 - float(np.mean(scores)))
+
+    def _layer_score(self, layer: LayerSpec, cfg: TasdConfig) -> float:
+        """Retained magnitude fraction, or mean relative product error over
+        the calibration samples, of one configured layer."""
+        key = (layer.layer_id, cfg.canonical())
+        score = self._scores.get(key)
+        if score is not None:
+            return score
+        if layer.weight is None:
+            raise OracleFailure(f"layer {layer.layer_id!r} has no weight to score")
         if self.kind == "retained_magnitude":
-            return self._retained_magnitude(workload, assignment)
-        if self.kind == "output_error":
-            return self._output_error(workload, assignment)
-        return self._external(workload, assignment)
+            score = drop_metrics(decompose(layer.weight, cfg)).retained_magnitude_fraction
+        else:
+            calibration = self._samples_and_norms(layer)
+            residual = decompose(layer.weight, cfg).residual
+            score = float(
+                np.mean([residual_error(residual, b, norm) for b, norm in calibration])
+            )
+        self._scores[key] = score
+        return score
 
-    def _retained_magnitude(self, workload, assignment) -> float:
-        fractions = []
-        for ly in workload.layers:
-            cfg = assignment.get(ly.layer_id)
-            if cfg is None or cfg.is_dense:
-                fractions.append(1.0)
-                continue
-            if ly.weight is None:
-                raise OracleFailure(f"layer {ly.layer_id!r} has no weight to score")
-            metrics = drop_metrics(decompose(ly.weight, cfg))
-            fractions.append(metrics.retained_magnitude_fraction)
-        return workload.baseline_quality * float(np.mean(fractions))
-
-    def _output_error(self, workload, assignment) -> float:
-        errors = []
-        for ly in workload.layers:
-            cfg = assignment.get(ly.layer_id)
-            if cfg is None or cfg.is_dense:
-                errors.append(0.0)
-                continue
-            if ly.weight is None:
-                raise OracleFailure(f"layer {ly.layer_id!r} has no weight to score")
-            samples = self._calibration_samples(ly)
-            try:
-                layer_errs = [relative_error(ly.weight, cfg, b) for b in samples]
-            except DegenerateProduct as exc:
-                raise OracleFailure(
-                    f"layer {ly.layer_id!r}: {exc}"
-                ) from exc
-            errors.append(float(np.mean(layer_errs)))
-        return workload.baseline_quality * (1.0 - float(np.mean(errors)))
-
-    def _calibration_samples(self, layer: LayerSpec):
+    def _samples_and_norms(self, layer: LayerSpec):
+        """(sample, ||W @ sample||_F) pairs of the layer, loaded once."""
         cached = self._calibration.get(layer.layer_id)
         if cached is not None:
             return cached
-        if layer.calibration_dir is None:
-            raise MissingCalibration(
-                f"layer {layer.layer_id!r} has no calibration_dir"
-            )
-        paths = sorted(Path(layer.calibration_dir).glob("*"))
-        samples = [load_matrix(p) for p in paths if p.is_file()]
-        if not samples:
-            raise MissingCalibration(
-                f"no calibration matrices under {layer.calibration_dir}"
-            )
-        for sample in samples:
-            if sample.shape[0] != layer.gemm_k:
-                raise DimensionMismatch(
-                    f"calibration sample for {layer.layer_id!r} has "
-                    f"{sample.shape[0]} rows, expected {layer.gemm_k}"
-                )
-        self._calibration[layer.layer_id] = samples
-        return samples
+        samples = load_calibration(layer)
+        try:
+            cached = [(b, reference_norm(layer.weight, b)) for b in samples]
+        except DegenerateProduct as exc:
+            raise OracleFailure(f"layer {layer.layer_id!r}: {exc}") from exc
+        self._calibration[layer.layer_id] = cached
+        return cached
 
     def _external(self, workload, assignment) -> float:
         with tempfile.TemporaryDirectory(prefix="tasd-oracle-") as tmp:

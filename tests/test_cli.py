@@ -237,6 +237,22 @@ class TestSearch:
                        "--mode", "activation", "--out", tmp_path / "a.json")
         assert proc.returncode == 2
 
+    def test_activation_mode_checks_sample_rows(self, tmp_path):
+        save_matrix(random_matrix(8, 8, 0.5, "uniform", seed=1), tmp_path / "w.tasd1")
+        (tmp_path / "calib").mkdir()
+        save_matrix(random_matrix(4, 2, 0.5, "uniform", seed=2), tmp_path / "calib" / "s.tasd1")
+        manifest = tmp_path / "wl.json"
+        manifest.write_text(json.dumps({
+            "name": "bad-rows",
+            "baseline_quality": 1.0,
+            "layers": [{"id": "L0", "m": 8, "n": 2, "k": 8, "weight": "w.tasd1",
+                        "calibration_dir": "calib"}],
+        }))
+        proc = run_cli("search", "--workload", manifest, "--hw", "vegeta-m8",
+                       "--mode", "activation", "--out", tmp_path / "a.json")
+        assert proc.returncode == 2
+        assert "rows, expected 8" in proc.stderr
+
     def test_external_oracle_command(self, workspace, tmp_path):
         script = tmp_path / "oracle.py"
         script.write_text("print('1.0')\n")

@@ -15,15 +15,21 @@ from tasd import (
     DimensionMismatch,
     LayerSpec,
     MissingCalibration,
+    NonFiniteEntry,
     OracleFailure,
     QualityOracle,
     SchemaError,
     TasdConfig,
     Workload,
+    decompose,
+    drop_metrics,
     evaluate_quality,
+    load_calibration,
+    load_matrix,
     load_workload,
     new_dense,
     random_matrix,
+    relative_error,
     save_matrix,
     total_macs,
 )
@@ -56,6 +62,19 @@ class TestLayerSpec:
             LayerSpec("L0", 2, 5, 4, weight=np.zeros((2, 5)))
         spec = LayerSpec("L0", 2, 5, 4, weight=np.zeros((2, 4)))
         assert spec.weight.shape == (2, 4)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 11),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_weight_rejected(self, seed, pos, bad):
+        # a NaN weight used to score as a perfect approximation
+        weight = np.array(random_matrix(3, 4, 0.7, "normal", seed=seed))
+        weight.flat[pos] = bad
+        with pytest.raises(NonFiniteEntry):
+            LayerSpec("L0", 3, 2, 4, weight=weight)
 
 
 class TestWorkload:
@@ -295,6 +314,12 @@ class TestOutputErrorOracle:
         with pytest.raises(OracleFailure):
             QualityOracle.output_error().evaluate(wl, {"L0": CFG("1:2")})
 
+    def test_loader_sorts_by_file_name(self, tmp_path):
+        wl = self.build(tmp_path, [1.0, 1.0], [[1.0], [2.0]])
+        save_matrix(np.array([[3.0], [4.0]]), tmp_path / "calib" / "a.tasd1")
+        samples = load_calibration(wl.layer("L0"))
+        assert [s.tolist() for s in samples] == [[[3.0], [4.0]], [[1.0], [2.0]]]
+
     def test_samples_are_cached(self, tmp_path):
         wl = self.build(tmp_path, [1.0, 1.0], [[1.0], [1.0]])
         oracle = QualityOracle.output_error()
@@ -303,6 +328,20 @@ class TestOutputErrorOracle:
             p.unlink()
         again = oracle.evaluate(wl, {"L0": CFG("1:2")})
         assert again == first
+
+    def test_caches_follow_the_workload(self, tmp_path):
+        # A and B share the layer id L0 but not its calibration data
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        wl_a = self.build(tmp_path / "a", [1.0, 1.0], [[1.0], [1.0]])
+        wl_b = self.build(tmp_path / "b", [1.0, 1.0], [[1.0], [0.0]])
+        assignment = {"L0": CFG("1:2")}
+        fresh_b = QualityOracle.output_error().evaluate(wl_b, assignment)
+        assert fresh_b == 1.0
+        oracle = QualityOracle.output_error()
+        assert oracle.evaluate(wl_a, assignment) == 0.5
+        assert oracle.evaluate(wl_b, assignment) == fresh_b
+        assert oracle.evaluate(wl_a, assignment) == 0.5
 
 
 ECHO_SCRIPT = 'print("0.761")\n'
@@ -392,3 +431,92 @@ class TestOracleConstruction:
         wl = two_layer_workload(baseline=1.0)
         oracle = QualityOracle.retained_magnitude()
         assert evaluate_quality(oracle, wl, {}) == oracle.evaluate(wl, {})
+
+
+class TestOracleWork:
+    """A greedy search scores each (layer, config) pair once and computes
+    each reference product once, yet logs exactly the qualities of the
+    direct per-candidate computation."""
+
+    LAYERS, SAMPLES, DIM = 3, 2, 32
+
+    @pytest.fixture
+    def workspace(self, tmp_path):
+        layers = []
+        for li in range(self.LAYERS):
+            weight = random_matrix(self.DIM, self.DIM, 0.4 + 0.2 * li, "normal", seed=(7, li))
+            save_matrix(weight, tmp_path / f"w{li}.tasd1")
+            (tmp_path / f"cal{li}").mkdir()
+            for si in range(self.SAMPLES):
+                sample = random_matrix(self.DIM, 8, 1.0, "uniform", seed=(8, li, si))
+                save_matrix(sample, tmp_path / f"cal{li}" / f"s{si}.tasd1")
+            layers.append({"id": f"L{li}", "m": self.DIM, "n": 8, "k": self.DIM,
+                           "weight": f"w{li}.tasd1", "calibration_dir": f"cal{li}"})
+        manifest = tmp_path / "workload.json"
+        manifest.write_text(json.dumps(
+            {"name": "w", "baseline_quality": 0.9, "layers": layers}
+        ))
+        return manifest
+
+    def layer_score(self, oracle, weight, cfg, samples):
+        if oracle == "magnitude":
+            return drop_metrics(decompose(weight, cfg)).retained_magnitude_fraction
+        return float(np.mean([relative_error(weight, cfg, b) for b in samples]))
+
+    @pytest.mark.parametrize("oracle", ["error", "magnitude"])
+    def test_each_pair_scored_once(self, workspace, monkeypatch, oracle):
+        import tasd._kernels
+        import tasd.workload
+        from tasd.cli import main
+
+        work = {"decompose": 0, "matmul": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                work[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            tasd.workload, "decompose", counted("decompose", tasd.workload.decompose)
+        )
+        monkeypatch.setattr(
+            tasd._kernels, "matmul_into", counted("matmul", tasd._kernels.matmul_into)
+        )
+        log = workspace.parent / "greedy.jsonl"
+        assert main(["search", "--workload", str(workspace), "--hw", "vegeta-m8",
+                     "--mode", "greedy", "--oracle", oracle, "--threshold", "0.97",
+                     "--skip-and-continue", "--out", str(workspace.parent / "a.json"),
+                     "--log", str(log)]) == 0
+        monkeypatch.undo()
+
+        steps = [json.loads(line) for line in log.read_text().splitlines()]
+        pairs = {(s["layer"], s["config"]) for s in steps}
+        assert len(pairs) == len(steps) == self.LAYERS * 6  # vegeta-m8: 6 sparse configs
+        assert any(s["applied"] for s in steps) and not all(s["applied"] for s in steps)
+        assert work["decompose"] == len(pairs)
+        if oracle == "error":
+            assert work["matmul"] <= (len(pairs) + self.LAYERS) * self.SAMPLES
+        else:
+            assert work["matmul"] == 0
+
+        wl = load_workload(workspace)
+        samples = {ly.layer_id: load_calibration(ly) for ly in wl.layers}
+        assignment = {}
+        for step in steps:
+            previous = assignment.get(step["layer"])
+            assignment[step["layer"]] = CFG(step["config"])
+            scores = [
+                self.layer_score(oracle, ly.weight, assignment[ly.layer_id],
+                                 samples[ly.layer_id])
+                if ly.layer_id in assignment else float(oracle == "magnitude")
+                for ly in wl.layers
+            ]
+            mean = float(np.mean(scores))
+            expected = 0.9 * (mean if oracle == "magnitude" else 1.0 - mean)
+            assert step["quality"] == expected
+            if not step["applied"]:
+                if previous is None:
+                    del assignment[step["layer"]]
+                else:
+                    assignment[step["layer"]] = previous
