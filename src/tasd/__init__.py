@@ -56,33 +56,32 @@ from .hwmodel import (
     render_cost_csv,
     required_tasd_units,
     stc_m4,
-    tile_n,
     vegeta_m8,
     workload_cost,
 )
 from .matrix import (
+    Assignment,
     DenseMatrix,
     NmCompressed,
     NmPattern,
+    PatternMenu,
     TasdConfig,
     config_of,
     decode,
+    dense_config,
     encode,
+    enumerate_configs,
     is_compliant,
+    is_expressible,
     load_matrix,
     new_dense,
     save_matrix,
     sparsity,
 )
 from .search import (
-    Assignment,
     LayerStats,
-    PatternMenu,
     assignment_from_json,
     assignment_to_json,
-    dense_config,
-    enumerate_configs,
-    is_expressible,
     layer_wise_greedy,
     load_assignment,
     network_wise_search,
@@ -97,10 +96,8 @@ from .workload import (
     LayerSpec,
     QualityOracle,
     Workload,
-    evaluate_quality,
     load_calibration,
     load_workload,
-    total_macs,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from .errors import TasdError
 from .hwmodel import (
     BUILTIN_SPECS,
     HwSpec,
+    cost_row,
     pattern_table,
     render_cost_csv,
     workload_cost,
@@ -60,6 +62,13 @@ def _density(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"density must be in [0, 1], got {text}")
+    return value
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
     return value
 
 
@@ -179,7 +188,8 @@ def cmd_search(args) -> int:
 
     if args.mode == "network":
         cfg, quality = network_wise_search(
-            wl, menu, oracle, threshold=args.threshold, hw=hw, trace=trace
+            wl, menu, oracle, threshold=args.threshold, trace=trace,
+            cost=lambda a: workload_cost(hw, wl, a)[0].cycles,
         )
         assignment = (
             {} if cfg.is_dense else {ly.layer_id: cfg for ly in wl.layers}
@@ -236,22 +246,7 @@ def cmd_simulate(args) -> int:
     hw = _load_hw(args.hw)
     assignment = load_assignment(args.assignment) if args.assignment else {}
     report, rows = workload_cost(hw, wl, assignment)
-    rows.append(
-        {
-            "layer": "total",
-            "config": "-",
-            "cycles": report.cycles,
-            "stalls": report.stall_cycles,
-            "macs": report.mac_count,
-            "e_mac": report.breakdown["mac"],
-            "e_rf": report.breakdown["rf"],
-            "e_l1": report.breakdown["l1"],
-            "e_l2": report.breakdown["l2"],
-            "e_dram": report.breakdown["dram"],
-            "e_tasd": report.breakdown["tasd_unit"],
-            "edp": report.edp,
-        }
-    )
+    rows.append(cost_row("total", "-", report))
     _write_text(args.out, render_cost_csv(rows))
     dense_report, _ = workload_cost(hw, wl, {})
     ratio = report.edp / dense_report.edp
@@ -321,9 +316,9 @@ def build_parser() -> _Parser:
         f"({', '.join(sorted(BUILTIN_SPECS))})",
     )
     p.add_argument("--mode", choices=("network", "greedy", "activation"), required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--rho", type=float, default=0.99)
-    p.add_argument("--threshold", type=float, default=0.99)
+    p.add_argument("--alpha", type=_finite, default=0.05)
+    p.add_argument("--rho", type=_finite, default=0.99)
+    p.add_argument("--threshold", type=_finite, default=0.99)
     p.add_argument(
         "--oracle",
         default="magnitude",

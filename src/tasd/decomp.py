@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from ._parallel import map_ordered
 from .matrix import (
     DenseMatrix,
@@ -23,6 +22,7 @@ from .matrix import (
     as_matrix,
     config_of,
     decode,
+    extract,
     freeze,
 )
 
@@ -48,23 +48,9 @@ class DropMetrics:
     retained_magnitude_fraction: float
 
 
-def _extract_pass(residual: np.ndarray, pattern: NmPattern):
-    """One greedy pass; returns the packed term and the shrunken residual."""
-    rows, cols = residual.shape
-    blocks = -(-cols // pattern.m)
-    padded = np.zeros((rows, blocks * pattern.m))
-    padded[:, :cols] = residual
-    values = np.zeros((rows, blocks, pattern.n))
-    indices = np.full((rows, blocks, pattern.n), -1, dtype=np.int64)
-    _kernels.extract_term_blocks(padded, values, indices, pattern.n, pattern.m)
-    term = NmCompressed(pattern, rows, cols, values, indices)
-    return term, padded[:, :cols]
-
-
 def extract_term(mat, pattern: NmPattern):
     """Split ``mat`` into (greedy N:M term, residual); term + residual == mat."""
-    arr = as_matrix(mat)
-    term, residual = _extract_pass(arr, pattern)
+    term, residual = extract(as_matrix(mat), pattern)
     return term, freeze(residual)
 
 
@@ -76,7 +62,7 @@ def decompose(mat, config) -> Decomposition:
     residual = arr
     terms = []
     for pattern in cfg.terms:
-        term, residual = _extract_pass(residual, pattern)
+        term, residual = extract(residual, pattern)
         terms.append(term)
     return Decomposition(arr.shape, cfg, tuple(terms), freeze(residual))
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 
 from .errors import MixedM, NotExpressible, SchemaError
-from .matrix import TasdConfig
-from .search import Assignment, PatternMenu, enumerate_configs, is_expressible
+from .matrix import Assignment, PatternMenu, TasdConfig, enumerate_configs, is_expressible
 
 COST_CSV_HEADER = "layer,config,cycles,stalls,macs,e_mac,e_rf,e_l1,e_l2,e_dram,e_tasd,edp"
 
@@ -30,6 +30,11 @@ _ENERGY_KEYS = ("mac", "rf_access", "l1_access", "l2_access", "dram_access")
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` loads as one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -50,24 +55,16 @@ class HwSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "base_patterns", frozenset(self.base_patterns))
-        counts = (
-            self.m,
-            self.max_terms,
-            self.ttc_count,
-            self.pe_rows,
-            self.pe_cols,
-            self.tasd_units_per_ttc,
-            self.blocks_out_per_cycle,
-            self.rf_bytes,
-            self.l1_bytes,
-            self.l2_bytes,
-            self.elem_bytes,
-        )
-        if any(int(c) <= 0 for c in counts):
-            raise SchemaError("hardware counts and capacities must be positive")
-        for n in self.base_patterns:
-            if not 1 <= n <= self.m:
-                raise SchemaError(f"base pattern {n} outside [1, {self.m}]")
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if not _is_int(value) or value <= 0:
+                raise SchemaError(f"{name} must be a positive integer, got {value!r}")
+        if not all(_is_int(n) for n in self.base_patterns):
+            raise SchemaError("base patterns must be integers")
+        try:
+            self.menu  # PatternMenu checks the base patterns against m
+        except ValueError as exc:
+            raise SchemaError(f"bad pattern menu: {exc}") from exc
         energy = dict(self.energy_pj)
         for key in _ENERGY_KEYS:
             if key not in energy:
@@ -75,8 +72,8 @@ class HwSpec:
         # decomposition-unit energy is optional; register-file cost is the
         # closest stand-in for one packed-slot handling step
         energy.setdefault("tasd_unit", energy["rf_access"])
-        if any(v < 0 for v in energy.values()):
-            raise SchemaError("energy entries must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in energy.values()):
+            raise SchemaError("energy entries must be finite and non-negative")
         object.__setattr__(self, "energy_pj", MappingProxyType(energy))
 
     @property
@@ -85,18 +82,8 @@ class HwSpec:
 
     def to_dict(self) -> dict:
         return {
-            "m": self.m,
+            **{name: getattr(self, name) for name in _COUNT_FIELDS},
             "base_patterns": sorted(self.base_patterns),
-            "max_terms": self.max_terms,
-            "ttc_count": self.ttc_count,
-            "pe_rows": self.pe_rows,
-            "pe_cols": self.pe_cols,
-            "tasd_units_per_ttc": self.tasd_units_per_ttc,
-            "blocks_out_per_cycle": self.blocks_out_per_cycle,
-            "rf_bytes": self.rf_bytes,
-            "l1_bytes": self.l1_bytes,
-            "l2_bytes": self.l2_bytes,
-            "elem_bytes": self.elem_bytes,
             "energy_pj": dict(self.energy_pj),
         }
 
@@ -106,21 +93,11 @@ class HwSpec:
             raise SchemaError("hardware spec must be a JSON object")
         try:
             return cls(
-                m=int(obj["m"]),
-                base_patterns=frozenset(int(n) for n in obj["base_patterns"]),
-                max_terms=int(obj["max_terms"]),
-                ttc_count=int(obj["ttc_count"]),
-                pe_rows=int(obj["pe_rows"]),
-                pe_cols=int(obj["pe_cols"]),
-                tasd_units_per_ttc=int(obj["tasd_units_per_ttc"]),
-                blocks_out_per_cycle=int(obj["blocks_out_per_cycle"]),
-                rf_bytes=int(obj["rf_bytes"]),
-                l1_bytes=int(obj["l1_bytes"]),
-                l2_bytes=int(obj["l2_bytes"]),
-                elem_bytes=int(obj["elem_bytes"]),
+                base_patterns=frozenset(obj["base_patterns"]),
                 energy_pj={k: float(v) for k, v in obj["energy_pj"].items()},
+                **{name: obj[name] for name in _COUNT_FIELDS},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad hardware spec: {exc}") from exc
 
     @classmethod
@@ -136,6 +113,11 @@ class HwSpec:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+# the positive integer counts and capacities, in declaration order (the
+# annotations are strings under ``from __future__ import annotations``)
+_COUNT_FIELDS = tuple(f.name for f in fields(HwSpec) if f.type == "int")
 
 
 _ILLUSTRATIVE_ENERGY = {
@@ -220,16 +202,6 @@ def required_tasd_units(hw: HwSpec, config: TasdConfig | None = None) -> int:
     times the per-block latency (worst case m when no config is given)."""
     latency = hw.m if config is None else decomp_latency(config)
     return hw.blocks_out_per_cycle * latency
-
-
-def tile_n(hw: HwSpec, gemm_k: int, gemm_n: int) -> int:
-    """Largest N-tile whose B slice fits L2 and whose C slice fits L1
-    alongside one row panel. Deterministic planner input; charged traffic
-    follows the stationary dataflow regardless of the tile choice."""
-    panel_rows = hw.pe_rows * hw.ttc_count
-    by_l2 = hw.l2_bytes // max(1, gemm_k * hw.elem_bytes)
-    by_l1 = hw.l1_bytes // max(1, panel_rows * hw.elem_bytes)
-    return max(1, min(gemm_n, by_l2, by_l1))
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +351,28 @@ def workload_cost(
         macs += report.mac_count
         for key in totals:
             totals[key] += report.breakdown[key]
-        rows.append(
-            {
-                "layer": ly.layer_id,
-                "config": cfg.canonical() if cfg is not None else "dense",
-                "cycles": report.cycles,
-                "stalls": report.stall_cycles,
-                "macs": report.mac_count,
-                "e_mac": report.breakdown["mac"],
-                "e_rf": report.breakdown["rf"],
-                "e_l1": report.breakdown["l1"],
-                "e_l2": report.breakdown["l2"],
-                "e_dram": report.breakdown["dram"],
-                "e_tasd": report.breakdown["tasd_unit"],
-                "edp": report.edp,
-            }
-        )
+        config = cfg.canonical() if cfg is not None else "dense"
+        rows.append(cost_row(ly.layer_id, config, report))
     return _report(cycles, stalls, macs, totals), rows
+
+
+def cost_row(layer: str, config: str, report: CostReport) -> dict:
+    """One line of the cost CSV: a layer (or the total) and its report."""
+    energy = report.breakdown
+    return {
+        "layer": layer,
+        "config": config,
+        "cycles": report.cycles,
+        "stalls": report.stall_cycles,
+        "macs": report.mac_count,
+        "e_mac": energy["mac"],
+        "e_rf": energy["rf"],
+        "e_l1": energy["l1"],
+        "e_l2": energy["l2"],
+        "e_dram": energy["dram"],
+        "e_tasd": energy["tasd_unit"],
+        "edp": report.edp,
+    }
 
 
 def render_cost_csv(rows) -> str:

@@ -1,5 +1,6 @@
-"""Dense matrices, N:M sparsity patterns, series configurations, the packed
-structured-sparse format, and matrix file IO.
+"""Dense matrices, N:M sparsity patterns, series configurations and the
+pattern menus they are drawn from, the packed structured-sparse format
+with its greedy extraction pass, and matrix file IO.
 
 A dense matrix is a read-only, C-contiguous float64 ndarray; ``new_dense``
 is the validating constructor. N:M blocks run along rows (contiguous
@@ -12,6 +13,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -166,6 +168,79 @@ def config_of(spec) -> TasdConfig:
     raise ValueError(f"cannot interpret {spec!r} as a config")
 
 
+Assignment = dict[str, TasdConfig]
+"""Maps layer_id to its series; layers absent from the dict execute dense."""
+
+
+@dataclass(frozen=True)
+class PatternMenu:
+    """The base N:M patterns a target can apply, and how many terms it can
+    chain per tensor."""
+
+    m: int
+    base_patterns: frozenset[int]
+    max_terms: int = 2
+
+    def __post_init__(self):
+        object.__setattr__(self, "base_patterns", frozenset(self.base_patterns))
+        if self.m < 1 or self.max_terms < 1:
+            raise ValueError("menu m and max_terms must be positive")
+        if not self.base_patterns:
+            raise ValueError("menu needs at least one base pattern")
+        for n in self.base_patterns:
+            if not 1 <= n <= self.m:
+                raise ValueError(f"base pattern {n} outside [1, {self.m}]")
+
+
+def enumerate_configs(menu: PatternMenu) -> list[TasdConfig]:
+    """All distinct-coverage series buildable from the menu, plus dense,
+    sorted by coverage ascending.
+
+    Equal-total multisets collapse to the one with the fewest terms
+    (largest first on remaining ties), e.g. a total of 5 on an m=8 menu
+    with bases {1,2,4} realizes as 4:8+1:8. A total of m is the dense
+    single term.
+    """
+    best: dict[int, tuple[int, ...]] = {}
+
+    def offer(combo: tuple[int, ...]):
+        total = sum(combo)
+        if total > menu.m:
+            return
+        held = best.get(total)
+        # fewest terms wins; then the lexicographically largest descending
+        if held is None or len(combo) < len(held) or (len(combo) == len(held) and combo > held):
+            best[total] = combo
+
+    for r in range(1, menu.max_terms + 1):
+        for combo in combinations_with_replacement(
+            sorted(menu.base_patterns, reverse=True), r
+        ):
+            offer(combo)
+    offer((menu.m,))  # the implicit dense option
+
+    configs = []
+    for total in sorted(best):
+        terms = tuple(NmPattern(n, menu.m) for n in best[total])
+        configs.append(TasdConfig(terms))
+    return configs
+
+
+def dense_config(menu: PatternMenu) -> TasdConfig:
+    return TasdConfig((NmPattern(menu.m, menu.m),))
+
+
+def is_expressible(config: TasdConfig, menu: PatternMenu) -> bool:
+    """Whether the target can execute the series (dense always can)."""
+    if config.is_dense:
+        return True
+    if not config.same_m or config.terms[0].m != menu.m:
+        return False
+    if len(config.terms) > menu.max_terms or config.sum_n > menu.m:
+        return False
+    return all(t.n in menu.base_patterns for t in config.terms)
+
+
 @dataclass(frozen=True, eq=False)
 class NmCompressed:
     """One structured term: packed values plus intra-block column indices.
@@ -206,15 +281,31 @@ class NmCompressed:
         return int(np.count_nonzero(self.indices >= 0))
 
 
+def pad_blocks(arr: np.ndarray, m: int) -> np.ndarray:
+    """A writable copy of ``arr`` zero-padded on the right to whole m-blocks."""
+    rows, cols = arr.shape
+    padded = np.zeros((rows, -(-cols // m) * m))
+    padded[:, :cols] = arr
+    return padded
+
+
 def is_compliant(mat, pattern: NmPattern) -> bool:
     """True iff every m-block of every row holds at most n non-zeros."""
-    arr = as_matrix(mat)
+    padded = pad_blocks(as_matrix(mat), pattern.m)
+    blocks = padded.reshape(padded.shape[0], padded.shape[1] // pattern.m, pattern.m)
+    return bool(np.all(np.count_nonzero(blocks, axis=2) <= pattern.n))
+
+
+def extract(arr: np.ndarray, pattern: NmPattern):
+    """One greedy pass over a 2-D array: returns the packed N:M term and
+    the residual left behind (a view, not frozen); term + residual == arr."""
     rows, cols = arr.shape
-    blocks = -(-cols // pattern.m)
-    padded = np.zeros((rows, blocks * pattern.m))
-    padded[:, :cols] = arr
-    per_block = np.count_nonzero(padded.reshape(rows, blocks, pattern.m), axis=2)
-    return bool(np.all(per_block <= pattern.n))
+    padded = pad_blocks(arr, pattern.m)
+    blocks = padded.shape[1] // pattern.m
+    values = np.zeros((rows, blocks, pattern.n))
+    indices = np.full((rows, blocks, pattern.n), -1, dtype=np.int64)
+    _kernels.extract_term_blocks(padded, values, indices, pattern.n, pattern.m)
+    return NmCompressed(pattern, rows, cols, values, indices), padded[:, :cols]
 
 
 def encode(mat, pattern: NmPattern) -> NmCompressed:
@@ -222,16 +313,10 @@ def encode(mat, pattern: NmPattern) -> NmCompressed:
     arr = as_matrix(mat)
     if not is_compliant(arr, pattern):
         raise NotCompliant(f"matrix is not {pattern} compliant")
-    rows, cols = arr.shape
-    blocks = -(-cols // pattern.m)
-    padded = np.zeros((rows, blocks * pattern.m))
-    padded[:, :cols] = arr
-    values = np.zeros((rows, blocks, pattern.n))
-    indices = np.full((rows, blocks, pattern.n), -1, dtype=np.int64)
-    _kernels.extract_term_blocks(padded, values, indices, pattern.n, pattern.m)
+    term, residual = extract(arr, pattern)
     # a compliant matrix is consumed whole: nothing may remain
-    assert not padded.any()
-    return NmCompressed(pattern, rows, cols, values, indices)
+    assert not residual.any()
+    return term
 
 
 def decode(c: NmCompressed) -> DenseMatrix:

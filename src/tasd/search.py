@@ -1,102 +1,34 @@
-"""Configuration enumeration for a pattern menu and the selection
-algorithms: uniform network-wide search, drop-sorted greedy per layer,
-and sparsity-guided selection for activations.
-
-An assignment is a plain dict mapping layer_id to TasdConfig; layers
-absent from the dict execute dense.
+"""The selection algorithms over a pattern menu: uniform network-wide
+search, drop-sorted greedy per layer, and sparsity-guided selection for
+activations. Each returns an ``Assignment`` (see ``tasd.matrix``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .decomp import decompose, drop_metrics
 from .errors import EmptyCalibration, MissingStats, SchemaError
-from .matrix import NmPattern, TasdConfig, sparsity
-
-Assignment = dict[str, TasdConfig]
-
-
-@dataclass(frozen=True)
-class PatternMenu:
-    """The base N:M patterns a target can apply, and how many terms it can
-    chain per tensor."""
-
-    m: int
-    base_patterns: frozenset[int]
-    max_terms: int = 2
-
-    def __post_init__(self):
-        object.__setattr__(self, "base_patterns", frozenset(self.base_patterns))
-        if self.m < 1 or self.max_terms < 1:
-            raise ValueError("menu m and max_terms must be positive")
-        if not self.base_patterns:
-            raise ValueError("menu needs at least one base pattern")
-        for n in self.base_patterns:
-            if not 1 <= n <= self.m:
-                raise ValueError(f"base pattern {n} outside [1, {self.m}]")
+from .matrix import (
+    Assignment,
+    NmPattern,
+    PatternMenu,
+    TasdConfig,
+    dense_config,
+    enumerate_configs,
+    sparsity,
+)
 
 
 @dataclass
 class LayerStats:
     layer_id: str
-    weight_sparsity: float | None = None
     act_sparsity_mean: float | None = None
     act_sparsity_p99: float | None = None
     act_magnitude_samples: tuple | None = field(default=None, repr=False)
-
-
-def enumerate_configs(menu: PatternMenu) -> list[TasdConfig]:
-    """All distinct-coverage series buildable from the menu, plus dense,
-    sorted by coverage ascending.
-
-    Equal-total multisets collapse to the one with the fewest terms
-    (largest first on remaining ties), e.g. a total of 5 on an m=8 menu
-    with bases {1,2,4} realizes as 4:8+1:8. A total of m is the dense
-    single term.
-    """
-    best: dict[int, tuple[int, ...]] = {}
-
-    def offer(combo: tuple[int, ...]):
-        total = sum(combo)
-        if total > menu.m:
-            return
-        held = best.get(total)
-        # fewest terms wins; then the lexicographically largest descending
-        if held is None or len(combo) < len(held) or (len(combo) == len(held) and combo > held):
-            best[total] = combo
-
-    for r in range(1, menu.max_terms + 1):
-        for combo in combinations_with_replacement(
-            sorted(menu.base_patterns, reverse=True), r
-        ):
-            offer(combo)
-    offer((menu.m,))  # the implicit dense option
-
-    configs = []
-    for total in sorted(best):
-        terms = tuple(NmPattern(n, menu.m) for n in best[total])
-        configs.append(TasdConfig(terms))
-    return configs
-
-
-def dense_config(menu: PatternMenu) -> TasdConfig:
-    return TasdConfig((NmPattern(menu.m, menu.m),))
-
-
-def is_expressible(config: TasdConfig, menu: PatternMenu) -> bool:
-    """Whether the target can execute the series (dense always can)."""
-    if config.is_dense:
-        return True
-    if not config.same_m or config.terms[0].m != menu.m:
-        return False
-    if len(config.terms) > menu.max_terms or config.sum_n > menu.m:
-        return False
-    return all(t.n in menu.base_patterns for t in config.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +101,15 @@ def network_wise_search(
     menu: PatternMenu,
     oracle,
     threshold: float = 0.99,
-    hw=None,
+    cost=None,
     trace: list | None = None,
 ):
     """Try every enumerated config uniformly on all layers; return the
     cheapest one whose quality clears threshold x baseline, with its
-    quality. Cost is model latency when a hardware description is given,
-    total MACs otherwise. Falls back to dense when nothing qualifies.
+    quality. ``cost(assignment)`` prices a candidate; it defaults to
+    ``workload.total_macs``. Falls back to dense when nothing qualifies.
     """
+    cost = cost or workload.total_macs
     gate = threshold * workload.baseline_quality
     best_cfg = None
     best_cost = None
@@ -189,31 +122,22 @@ def network_wise_search(
         quality = oracle.evaluate(workload, assignment)
         if cfg.is_dense:
             dense_quality = quality
-        cost = _assignment_cost(workload, assignment, hw)
+        price = cost(assignment)
         qualified = quality >= gate
         if trace is not None:
             trace.append(
                 {
                     "config": cfg.canonical(),
                     "quality": quality,
-                    "cost": cost,
+                    "cost": price,
                     "qualified": qualified,
                 }
             )
-        if qualified and (best_cost is None or cost < best_cost):
-            best_cfg, best_cost, best_quality = cfg, cost, quality
+        if qualified and (best_cost is None or price < best_cost):
+            best_cfg, best_cost, best_quality = cfg, price, quality
     if best_cfg is None:
         return dense_config(menu), dense_quality
     return best_cfg, best_quality
-
-
-def _assignment_cost(workload, assignment: Assignment, hw):
-    if hw is None:
-        return workload.total_macs(assignment)
-    from . import hwmodel  # deferred: hwmodel imports this module
-
-    report, _ = hwmodel.workload_cost(hw, workload, assignment)
-    return report.cycles
 
 
 # ---------------------------------------------------------------------------

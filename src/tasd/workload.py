@@ -30,8 +30,7 @@ from .errors import (
     OracleFailure,
     SchemaError,
 )
-from .matrix import DenseMatrix, TasdConfig, load_matrix, save_matrix
-from .search import Assignment, LayerStats
+from .matrix import Assignment, DenseMatrix, TasdConfig, load_matrix, save_matrix
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,6 @@ class LayerSpec:
     gemm_n: int
     gemm_k: int
     weight: DenseMatrix | None = None
-    weight_path: str | None = None
-    act_stats: LayerStats | None = None
     weights_sparse: bool = False
     acts_sparse: bool = False
     calibration_dir: str | None = None
@@ -96,10 +93,6 @@ def _coverage_fraction(cfg: TasdConfig) -> Fraction:
     return min(cov, Fraction(1))
 
 
-def total_macs(workload: Workload, assignment: Assignment | None = None) -> int:
-    return workload.total_macs(assignment)
-
-
 # ---------------------------------------------------------------------------
 # manifest loading
 
@@ -149,7 +142,6 @@ def load_workload(manifest_path) -> Workload:
                 gemm_n=dims[1],
                 gemm_k=dims[2],
                 weight=weight,
-                weight_path=weight_path,
                 weights_sparse=bool(entry.get("weights_sparse", False)),
                 acts_sparse=bool(entry.get("acts_sparse", False)),
                 calibration_dir=calibration_dir,
@@ -335,6 +327,3 @@ class QualityOracle:
             fh.write("\n")
         return manifest
 
-
-def evaluate_quality(oracle: QualityOracle, workload: Workload, assignment: Assignment) -> float:
-    return oracle.evaluate(workload, assignment)

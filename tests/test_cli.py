@@ -267,6 +267,23 @@ class TestSearch:
                        "--oracle", str(tmp_path / "nonexistent"),
                        "--out", out).returncode == 2
 
+    @pytest.mark.parametrize(
+        "mode, option",
+        [
+            ("greedy", "--threshold=nan"),
+            ("network", "--threshold=inf"),
+            ("activation", "--alpha=nan"),
+            ("activation", "--rho=-inf"),
+        ],
+    )
+    def test_non_finite_numbers_are_usage_errors(self, workspace, tmp_path, mode, option):
+        out = tmp_path / "a.json"
+        proc = run_cli("search", "--workload", workspace / "workload.json",
+                       "--hw", "vegeta-m8", "--mode", mode, option, "--out", out)
+        assert proc.returncode == 1
+        assert "finite" in proc.stderr
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_cost_csv_with_total_row(self, workspace, tmp_path):

@@ -19,7 +19,6 @@ from tasd import (
     pattern_table,
     required_tasd_units,
     stc_m4,
-    tile_n,
     vegeta_m8,
     workload_cost,
 )
@@ -114,6 +113,46 @@ class TestHwSpec:
         configs = Path(__file__).resolve().parent.parent / "configs"
         assert HwSpec.from_json(configs / "vegeta_m8.json") == vegeta_m8()
         assert HwSpec.from_json(configs / "stc_m4.json") == stc_m4()
+
+
+class TestHwSpecNumbers:
+    """A spec file's values are taken as they are or refused with
+    SchemaError: no NaN or Inf energy reaches the cost, and no count is
+    silently truncated."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["mac", "dram_access", "tasd_unit"])
+    def test_non_finite_energy_rejected(self, key, value):
+        obj = HW.to_dict()
+        obj["energy_pj"][key] = value
+        with pytest.raises(SchemaError):
+            HwSpec.from_dict(obj)
+        with pytest.raises(SchemaError):
+            custom_hw(energy_pj={**BASE_ENERGY, key: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("m", 8.7),
+            ("pe_rows", 16.5),
+            ("l2_bytes", "524288"),
+            ("max_terms", True),
+            ("elem_bytes", True),
+            ("base_patterns", [1, 2.5, 4]),
+            ("base_patterns", [True, 2, 4]),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        obj = HW.to_dict()
+        obj[field] = value
+        with pytest.raises(SchemaError):
+            HwSpec.from_dict(obj)
+
+    def test_energy_table_must_be_an_object(self):
+        obj = HW.to_dict()
+        obj["energy_pj"] = [2.0, 0.5, 1.0, 4.0, 80.0]
+        with pytest.raises(SchemaError):
+            HwSpec.from_dict(obj)
 
 
 class TestPatternSupport:
@@ -246,16 +285,6 @@ class TestGemmCost:
             report.cycles = 0
         with pytest.raises(TypeError):
             report.breakdown["mac"] = 0.0
-
-
-class TestTileN:
-    def test_within_bounds(self):
-        for k, n in [(8, 8), (1024, 1024), (1, 1), (100000, 4)]:
-            tile = tile_n(HW, k, n)
-            assert 1 <= tile <= max(1, n)
-
-    def test_shrinks_with_deep_k(self):
-        assert tile_n(HW, 8192, 4096) <= tile_n(HW, 64, 4096)
 
 
 def three_layer_workload():

@@ -1,0 +1,78 @@
+"""The package's module graph: read from the source with ``ast``, so a
+deferred import inside a function counts as an edge too."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tasd"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def _targets(node):
+    """The tasd modules one import statement loads."""
+    if isinstance(node, ast.Import):
+        names = [a.name.split(".") for a in node.names]
+        return {parts[1] for parts in names if parts[0] == "tasd" and len(parts) > 1}
+    if node.level == 0:
+        parts = (node.module or "").split(".")
+        if parts[0] != "tasd":
+            return set()
+        if len(parts) > 1:
+            return {parts[1]}
+    elif node.module:
+        return {node.module.split(".")[0]}
+    # "from . import x" or "from tasd import x": a submodule or the package
+    return {a.name if a.name in MODULES else "__init__" for a in node.names}
+
+
+def _imports(module):
+    """(target, inside a function) for every tasd import in ``module``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = []
+
+    def visit(node, in_function):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.extend((t, in_function) for t in _targets(node))
+        in_function = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function)
+
+    visit(tree, False)
+    return found
+
+
+GRAPH = {module: {t for t, _ in _imports(module)} for module in MODULES}
+
+
+def test_import_graph_is_acyclic():
+    done, active = set(), []
+
+    def walk(module):
+        if module in active:
+            cycle = active[active.index(module):] + [module]
+            raise AssertionError(f"import cycle: {' -> '.join(cycle)}")
+        if module in done:
+            return
+        active.append(module)
+        for target in sorted(GRAPH[module]):
+            walk(target)
+        active.pop()
+        done.add(module)
+
+    for module in sorted(GRAPH):
+        walk(module)
+
+
+def test_no_import_inside_a_function():
+    deferred = sorted(
+        (module, target)
+        for module in MODULES
+        for target, in_function in _imports(module)
+        if in_function
+    )
+    assert deferred == []
+
+
+def test_cost_model_does_not_import_search():
+    assert "search" not in GRAPH["hwmodel"]
+    assert GRAPH["hwmodel"] <= {"errors", "matrix"}

@@ -23,7 +23,6 @@ from tasd import (
     Workload,
     decompose,
     drop_metrics,
-    evaluate_quality,
     load_calibration,
     load_matrix,
     load_workload,
@@ -31,7 +30,6 @@ from tasd import (
     random_matrix,
     relative_error,
     save_matrix,
-    total_macs,
 )
 
 CFG = TasdConfig.parse
@@ -108,7 +106,6 @@ class TestWorkload:
         )
         assignment = {"L0": CFG("4:8+1:8")}  # coverage 5/8
         assert wl.total_macs(assignment) == 115_605_504 * 5 // 8 == 72_253_440
-        assert total_macs(wl, assignment) == 72_253_440
 
     def test_coverage_caps_at_dense(self):
         wl = Workload("w", (LayerSpec("L0", 8, 8, 8),), baseline_quality=1.0)
@@ -426,11 +423,6 @@ class TestOracleConstruction:
             QualityOracle("telepathy")
         with pytest.raises(ValueError):
             QualityOracle("external_command")
-
-    def test_evaluate_quality_wrapper(self):
-        wl = two_layer_workload(baseline=1.0)
-        oracle = QualityOracle.retained_magnitude()
-        assert evaluate_quality(oracle, wl, {}) == oracle.evaluate(wl, {})
 
 
 class TestOracleWork:
