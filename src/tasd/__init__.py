@@ -24,7 +24,6 @@ from .decomp import (
     approximate,
     decompose,
     drop_metrics,
-    extract_term,
     random_matrix,
     render_sweep_csv,
     sweep_synthetic,
@@ -71,6 +70,7 @@ from .matrix import (
     dense_config,
     encode,
     enumerate_configs,
+    extract_term,
     is_compliant,
     is_expressible,
     load_matrix,
@@ -93,8 +93,10 @@ from .search import (
     sparsity_select,
 )
 from .workload import (
+    CommandOracle,
+    ErrorOracle,
     LayerSpec,
-    QualityOracle,
+    MagnitudeOracle,
     Workload,
     load_calibration,
     load_workload,

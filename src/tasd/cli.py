@@ -41,7 +41,7 @@ from .search import (
     load_assignment,
     select_activation_configs,
 )
-from .workload import QualityOracle, load_calibration, load_workload
+from .workload import CommandOracle, ErrorOracle, MagnitudeOracle, load_calibration, load_workload
 
 log = logging.getLogger("tasd.cli")
 
@@ -171,12 +171,12 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _make_oracle(spec: str) -> QualityOracle:
+def _make_oracle(spec: str):
     if spec == "magnitude":
-        return QualityOracle.retained_magnitude()
+        return MagnitudeOracle()
     if spec == "error":
-        return QualityOracle.output_error()
-    return QualityOracle.external_command(spec)
+        return ErrorOracle()
+    return CommandOracle(spec)
 
 
 def cmd_search(args) -> int:

@@ -17,12 +17,11 @@ from ._parallel import map_ordered
 from .matrix import (
     DenseMatrix,
     NmCompressed,
-    NmPattern,
     TasdConfig,
     as_matrix,
     config_of,
     decode,
-    extract,
+    extract_term,
     freeze,
 )
 
@@ -48,23 +47,17 @@ class DropMetrics:
     retained_magnitude_fraction: float
 
 
-def extract_term(mat, pattern: NmPattern):
-    """Split ``mat`` into (greedy N:M term, residual); term + residual == mat."""
-    term, residual = extract(as_matrix(mat), pattern)
-    return term, freeze(residual)
-
-
 def decompose(mat, config) -> Decomposition:
     """Apply the series left to right, each term extracting from the last
     residual."""
     cfg = config_of(config)
-    arr = as_matrix(mat)
-    residual = arr
+    residual = as_matrix(mat)
+    shape = residual.shape
     terms = []
     for pattern in cfg.terms:
-        term, residual = extract(residual, pattern)
+        term, residual = extract_term(residual, pattern)
         terms.append(term)
-    return Decomposition(arr.shape, cfg, tuple(terms), freeze(residual))
+    return Decomposition(shape, cfg, tuple(terms), residual)
 
 
 def approximate(mat, config) -> DenseMatrix:

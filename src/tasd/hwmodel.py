@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 
 from .errors import MixedM, NotExpressible, SchemaError
-from .matrix import Assignment, PatternMenu, TasdConfig, enumerate_configs, is_expressible
+from .matrix import Assignment, PatternMenu, TasdConfig, _is_int, enumerate_configs, is_expressible
 
 COST_CSV_HEADER = "layer,config,cycles,stalls,macs,e_mac,e_rf,e_l1,e_l2,e_dram,e_tasd,edp"
 
@@ -30,11 +29,6 @@ _ENERGY_KEYS = ("mac", "rf_access", "l1_access", "l2_access", "dram_access")
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _is_int(value) -> bool:
-    """An integer that is not a bool (JSON ``true`` loads as one)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

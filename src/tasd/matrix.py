@@ -10,9 +10,10 @@ partial block is held to the same at-most-n bound.
 
 from __future__ import annotations
 
+import numbers
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -53,11 +54,19 @@ def new_dense(rows: int, cols: int, data) -> DenseMatrix:
 
 
 def as_matrix(mat) -> DenseMatrix:
-    """Coerce an array-like to a 2-D float64 ndarray (no copy if possible)."""
+    """Coerce an array-like to a 2-D float64 ndarray (no copy if possible);
+    NaN and Inf entries are refused."""
     arr = np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntry("matrix entries must be finite")
     return arr
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON ``true`` loads as one)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -80,7 +89,7 @@ class NmPattern:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
+        if not (_is_int(self.n) and _is_int(self.m)):
             raise ValueError("pattern n and m must be integers")
         if not 1 <= self.n <= self.m:
             raise ValueError(f"pattern needs 1 <= n <= m, got {self.n}:{self.m}")
@@ -109,7 +118,6 @@ class TasdConfig:
     """An ordered series of N:M patterns applied term by term."""
 
     terms: tuple[NmPattern, ...]
-    label: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -147,7 +155,7 @@ class TasdConfig:
         return "+".join(str(t) for t in self.terms)
 
     def __str__(self) -> str:
-        return self.label or self.canonical()
+        return self.canonical()
 
     @classmethod
     def parse(cls, text: str) -> "TasdConfig":
@@ -296,16 +304,17 @@ def is_compliant(mat, pattern: NmPattern) -> bool:
     return bool(np.all(np.count_nonzero(blocks, axis=2) <= pattern.n))
 
 
-def extract(arr: np.ndarray, pattern: NmPattern):
-    """One greedy pass over a 2-D array: returns the packed N:M term and
-    the residual left behind (a view, not frozen); term + residual == arr."""
+def extract_term(mat, pattern: NmPattern):
+    """One greedy pass: split ``mat`` into its packed N:M term and the
+    frozen residual left behind; term + residual == mat."""
+    arr = as_matrix(mat)
     rows, cols = arr.shape
     padded = pad_blocks(arr, pattern.m)
     blocks = padded.shape[1] // pattern.m
     values = np.zeros((rows, blocks, pattern.n))
     indices = np.full((rows, blocks, pattern.n), -1, dtype=np.int64)
     _kernels.extract_term_blocks(padded, values, indices, pattern.n, pattern.m)
-    return NmCompressed(pattern, rows, cols, values, indices), padded[:, :cols]
+    return NmCompressed(pattern, rows, cols, values, indices), freeze(padded[:, :cols])
 
 
 def encode(mat, pattern: NmPattern) -> NmCompressed:
@@ -313,7 +322,7 @@ def encode(mat, pattern: NmPattern) -> NmCompressed:
     arr = as_matrix(mat)
     if not is_compliant(arr, pattern):
         raise NotCompliant(f"matrix is not {pattern} compliant")
-    term, residual = extract(arr, pattern)
+    term, residual = extract_term(arr, pattern)
     # a compliant matrix is consumed whole: nothing may remain
     assert not residual.any()
     return term

@@ -253,7 +253,7 @@ def assignment_from_json(obj) -> Assignment:
         if not isinstance(entry, dict) or "terms" not in entry:
             raise SchemaError(f"assignment entry for {layer_id!r} needs 'terms'")
         try:
-            terms = tuple(NmPattern(int(n), int(m)) for n, m in entry["terms"])
+            terms = tuple(NmPattern(n, m) for n, m in entry["terms"])
             assignment[layer_id] = TasdConfig(terms)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad terms for layer {layer_id!r}: {exc}") from exc

@@ -2,10 +2,11 @@
 
 A workload is an ordered list of layers (M, N, K dims plus an optional
 weight matrix and calibration data) with a baseline quality score.
-Quality itself is abstract: two built-in proxies (retained weight
-magnitude, calibration output error) are normalized so a dense
-assignment scores exactly the baseline, and an external command can
-stand in for a real model evaluation.
+Quality itself is abstract: two built-in proxies (``MagnitudeOracle``,
+retained weight magnitude; ``ErrorOracle``, calibration output error)
+are normalized so a dense assignment scores exactly the baseline, and
+``CommandOracle`` runs an external command in place of a real model
+evaluation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import subprocess
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .errors import (
     OracleFailure,
     SchemaError,
 )
-from .matrix import Assignment, DenseMatrix, TasdConfig, load_matrix, save_matrix
+from .matrix import Assignment, DenseMatrix, TasdConfig, _is_int, load_matrix, save_matrix
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,10 @@ class LayerSpec:
     calibration_dir: str | None = None
 
     def __post_init__(self):
-        if min(self.gemm_m, self.gemm_n, self.gemm_k) <= 0:
-            raise SchemaError(f"layer {self.layer_id!r} needs positive GEMM dims")
+        if not all(_is_int(d) and d > 0 for d in (self.gemm_m, self.gemm_n, self.gemm_k)):
+            raise SchemaError(f"layer {self.layer_id!r} needs positive integer GEMM dims")
+        if not (isinstance(self.weights_sparse, bool) and isinstance(self.acts_sparse, bool)):
+            raise SchemaError(f"layer {self.layer_id!r} sparse flags must be booleans")
         if self.weight is not None and self.weight.shape != (self.gemm_m, self.gemm_k):
             raise DimensionMismatch(
                 f"layer {self.layer_id!r} weight is {self.weight.shape}, "
@@ -109,14 +112,14 @@ def load_workload(manifest_path) -> Workload:
         raise SchemaError(f"{manifest_path}: manifest must be a JSON object")
     try:
         name = str(obj["name"])
-        baseline = float(obj["baseline_quality"])
+        baseline = obj["baseline_quality"]
         raw_layers = obj["layers"]
     except KeyError as exc:
         raise SchemaError(f"{manifest_path}: missing key {exc}") from exc
     if not isinstance(raw_layers, list) or not raw_layers:
         raise SchemaError(f"{manifest_path}: 'layers' must be a non-empty list")
-    if not math.isfinite(baseline):
-        raise SchemaError(f"{manifest_path}: baseline_quality must be finite")
+    if not (_is_int(baseline) or isinstance(baseline, float)) or not math.isfinite(baseline):
+        raise SchemaError(f"{manifest_path}: baseline_quality must be a finite number")
 
     base_dir = manifest_path.parent
     layers = []
@@ -125,8 +128,8 @@ def load_workload(manifest_path) -> Workload:
             raise SchemaError(f"{manifest_path}: each layer must be an object")
         try:
             layer_id = str(entry["id"])
-            dims = (int(entry["m"]), int(entry["n"]), int(entry["k"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            dims = (entry["m"], entry["n"], entry["k"])
+        except KeyError as exc:
             raise SchemaError(f"{manifest_path}: bad layer entry: {exc}") from exc
         weight = None
         weight_path = entry.get("weight")
@@ -137,17 +140,15 @@ def load_workload(manifest_path) -> Workload:
             calibration_dir = str(base_dir / calibration_dir)
         layers.append(
             LayerSpec(
-                layer_id=layer_id,
-                gemm_m=dims[0],
-                gemm_n=dims[1],
-                gemm_k=dims[2],
-                weight=weight,
-                weights_sparse=bool(entry.get("weights_sparse", False)),
-                acts_sparse=bool(entry.get("acts_sparse", False)),
+                layer_id,
+                *dims,
+                weight,
+                weights_sparse=entry.get("weights_sparse", False),
+                acts_sparse=entry.get("acts_sparse", False),
                 calibration_dir=calibration_dir,
             )
         )
-    return Workload(name=name, layers=tuple(layers), baseline_quality=baseline)
+    return Workload(name=name, layers=tuple(layers), baseline_quality=float(baseline))
 
 
 def load_calibration(layer: LayerSpec) -> list[DenseMatrix]:
@@ -172,83 +173,65 @@ def load_calibration(layer: LayerSpec) -> list[DenseMatrix]:
 # quality oracles
 
 
-@dataclass
-class QualityOracle:
-    """Scores an assignment; kinds: retained_magnitude, output_error,
-    external_command. The two proxies return baseline_quality for a dense
-    assignment; the external command's stdout is returned as-is.
+class _ProxyOracle:
+    """Shared caches of the two built-in proxies, which score a dense
+    assignment as exactly baseline_quality.
 
-    The proxies are means of per-layer scores, so each (layer, config)
-    pair is scored once and kept as a float, next to each layer's
-    calibration samples and their reference norms ||W @ B||_F. The caches
-    hold the data of one workload: scoring another Workload object clears
-    them. The external command always scores the whole network.
+    A proxy is a mean of per-layer scores, so each (layer, config) pair is
+    scored once and kept as a float, next to each layer's calibration
+    samples and their reference norms ||W @ B||_F. The caches hold the
+    data of one workload: scoring another Workload object clears them.
     """
 
-    kind: str
-    command: object = None
-    _workload: Workload | None = field(default=None, repr=False, compare=False)
-    _calibration: dict = field(default_factory=dict, repr=False, compare=False)
-    _scores: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self):
+        self._workload: Workload | None = None
+        self._calibration: dict = {}
+        self._scores: dict = {}
 
-    KINDS = ("retained_magnitude", "output_error", "external_command")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"oracle kind must be one of {self.KINDS}")
-        if self.kind == "external_command" and not self.command:
-            raise ValueError("external_command oracle needs a command")
-
-    @classmethod
-    def retained_magnitude(cls) -> "QualityOracle":
-        return cls("retained_magnitude")
-
-    @classmethod
-    def output_error(cls) -> "QualityOracle":
-        return cls("output_error")
-
-    @classmethod
-    def external_command(cls, command) -> "QualityOracle":
-        return cls("external_command", command=command)
-
-    def evaluate(self, workload: Workload, assignment: Assignment) -> float:
-        if self.kind == "external_command":
-            return self._external(workload, assignment)
+    def _layer_scores(self, workload: Workload, assignment: Assignment, dense: float):
         if workload is not self._workload:
             self._workload = workload
             self._calibration.clear()
             self._scores.clear()
-        magnitude = self.kind == "retained_magnitude"
         scores = []
         for ly in workload.layers:
             cfg = assignment.get(ly.layer_id)
             if cfg is None or cfg.is_dense:
-                scores.append(1.0 if magnitude else 0.0)
-            else:
-                scores.append(self._layer_score(ly, cfg))
-        if magnitude:
-            return workload.baseline_quality * float(np.mean(scores))
+                scores.append(dense)
+                continue
+            key = (ly.layer_id, cfg.canonical())
+            score = self._scores.get(key)
+            if score is None:
+                if ly.weight is None:
+                    raise OracleFailure(f"layer {ly.layer_id!r} has no weight to score")
+                score = self._scores[key] = self._score(ly, cfg)
+            scores.append(score)
+        return scores
+
+
+class MagnitudeOracle(_ProxyOracle):
+    """Baseline quality times the mean retained weight-magnitude fraction."""
+
+    def evaluate(self, workload: Workload, assignment: Assignment) -> float:
+        scores = self._layer_scores(workload, assignment, 1.0)
+        return workload.baseline_quality * float(np.mean(scores))
+
+    def _score(self, layer: LayerSpec, cfg: TasdConfig) -> float:
+        return drop_metrics(decompose(layer.weight, cfg)).retained_magnitude_fraction
+
+
+class ErrorOracle(_ProxyOracle):
+    """Baseline quality times one minus the mean relative product error
+    over each layer's calibration samples."""
+
+    def evaluate(self, workload: Workload, assignment: Assignment) -> float:
+        scores = self._layer_scores(workload, assignment, 0.0)
         return workload.baseline_quality * (1.0 - float(np.mean(scores)))
 
-    def _layer_score(self, layer: LayerSpec, cfg: TasdConfig) -> float:
-        """Retained magnitude fraction, or mean relative product error over
-        the calibration samples, of one configured layer."""
-        key = (layer.layer_id, cfg.canonical())
-        score = self._scores.get(key)
-        if score is not None:
-            return score
-        if layer.weight is None:
-            raise OracleFailure(f"layer {layer.layer_id!r} has no weight to score")
-        if self.kind == "retained_magnitude":
-            score = drop_metrics(decompose(layer.weight, cfg)).retained_magnitude_fraction
-        else:
-            calibration = self._samples_and_norms(layer)
-            residual = decompose(layer.weight, cfg).residual
-            score = float(
-                np.mean([residual_error(residual, b, norm) for b, norm in calibration])
-            )
-        self._scores[key] = score
-        return score
+    def _score(self, layer: LayerSpec, cfg: TasdConfig) -> float:
+        calibration = self._samples_and_norms(layer)
+        residual = decompose(layer.weight, cfg).residual
+        return float(np.mean([residual_error(residual, b, norm) for b, norm in calibration]))
 
     def _samples_and_norms(self, layer: LayerSpec):
         """(sample, ||W @ sample||_F) pairs of the layer, loaded once."""
@@ -263,12 +246,22 @@ class QualityOracle:
         self._calibration[layer.layer_id] = cached
         return cached
 
-    def _external(self, workload, assignment) -> float:
+
+class CommandOracle:
+    """Runs ``command`` (an argv list or one executable path) with the path
+    of a handoff manifest appended, and returns the number it prints. It
+    always scores the whole network."""
+
+    def __init__(self, command):
+        if not command:
+            raise ValueError("CommandOracle needs a command")
+        self.command = command
+
+    def evaluate(self, workload: Workload, assignment: Assignment) -> float:
         with tempfile.TemporaryDirectory(prefix="tasd-oracle-") as tmp:
-            manifest = self._write_handoff(Path(tmp), workload, assignment)
-            argv = list(self.command) if isinstance(self.command, (list, tuple)) else [
-                str(self.command)
-            ]
+            manifest = _write_handoff(Path(tmp), workload, assignment)
+            command = self.command
+            argv = [*command] if isinstance(command, (list, tuple)) else [str(command)]
             argv.append(str(manifest))
             try:
                 proc = subprocess.run(argv, capture_output=True, text=True)
@@ -288,42 +281,39 @@ class QualityOracle:
                 raise OracleFailure(f"oracle returned non-finite {value!r}")
             return value
 
-    def _write_handoff(self, tmp: Path, workload, assignment) -> Path:
-        """Per-layer approximated dense weights plus a JSON index."""
-        layers = []
-        for ly in workload.layers:
-            cfg = assignment.get(ly.layer_id)
-            entry = {
-                "id": ly.layer_id,
-                "m": ly.gemm_m,
-                "n": ly.gemm_n,
-                "k": ly.gemm_k,
-                "config": cfg.canonical() if cfg is not None else "dense",
-                "weights_sparse": ly.weights_sparse,
-                "acts_sparse": ly.acts_sparse,
-                "weight": None,
-            }
-            if ly.weight is not None:
-                filename = f"{ly.layer_id}.tasd1"
-                mat = (
-                    ly.weight
-                    if cfg is None or cfg.is_dense
-                    else approximate(ly.weight, cfg)
-                )
-                save_matrix(mat, tmp / filename)
-                entry["weight"] = filename
-            layers.append(entry)
-        manifest = tmp / "manifest.json"
-        with open(manifest, "w") as fh:
-            json.dump(
-                {
-                    "name": workload.name,
-                    "baseline_quality": workload.baseline_quality,
-                    "layers": layers,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
-        return manifest
+
+def _write_handoff(tmp: Path, workload: Workload, assignment: Assignment) -> Path:
+    """Per-layer approximated dense weights plus a JSON index."""
+    layers = []
+    for ly in workload.layers:
+        cfg = assignment.get(ly.layer_id)
+        entry = {
+            "id": ly.layer_id,
+            "m": ly.gemm_m,
+            "n": ly.gemm_n,
+            "k": ly.gemm_k,
+            "config": cfg.canonical() if cfg is not None else "dense",
+            "weights_sparse": ly.weights_sparse,
+            "acts_sparse": ly.acts_sparse,
+            "weight": None,
+        }
+        if ly.weight is not None:
+            filename = f"{ly.layer_id}.tasd1"
+            mat = ly.weight if cfg is None or cfg.is_dense else approximate(ly.weight, cfg)
+            save_matrix(mat, tmp / filename)
+            entry["weight"] = filename
+        layers.append(entry)
+    manifest = tmp / "manifest.json"
+    with open(manifest, "w") as fh:
+        json.dump(
+            {
+                "name": workload.name,
+                "baseline_quality": workload.baseline_quality,
+                "layers": layers,
+            },
+            fh,
+            indent=2,
+        )
+        fh.write("\n")
+    return manifest
 

@@ -13,8 +13,8 @@ import pytest
 
 from tasd import (
     LayerSpec,
+    MagnitudeOracle,
     PatternMenu,
-    QualityOracle,
     TasdConfig,
     Workload,
     approximate,
@@ -229,7 +229,7 @@ def test_criterion_06_sparsity_guided_selection_matches_linear_scan():
 def test_criterion_07_greedy_assignment_equals_prefix_oracle():
     with criterion(7, budget_s=30.0):
         menu = vegeta_m8().menu
-        oracle = QualityOracle.retained_magnitude()
+        oracle = MagnitudeOracle()
         rng = np.random.default_rng(7)
         for trial in range(100):
             layers = []

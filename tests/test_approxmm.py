@@ -11,12 +11,14 @@ from tasd import (
     DegenerateProduct,
     DimensionMismatch,
     NmPattern,
+    NonFiniteEntry,
     approximate,
     decode,
     decompose,
     error_sweep,
     extract_term,
     matmul,
+    random_matrix,
     relative_error,
     spmm_term,
     tasd_matmul,
@@ -150,6 +152,29 @@ class TestRelativeError:
             if prev is not None:
                 assert norm <= prev + 1e-12
             prev = norm
+
+
+class TestNonFiniteOperands:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.integers(0, 11),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rejected_in_either_operand(self, seed, in_a, pos, bad):
+        # these products used to return NaN, and an Inf weight an error of 0
+        a = np.array(random_matrix(3, 4, 0.7, "normal", seed=(seed, 0)))
+        b = np.array(random_matrix(4, 3, 0.7, "normal", seed=(seed, 1)))
+        (a if in_a else b).flat[pos] = bad
+        products = (
+            matmul,
+            lambda x, y: relative_error(x, "2:4", y),
+            lambda x, y: tasd_matmul(decompose(x, "2:4"), y),
+        )
+        for product in products:
+            with pytest.raises(NonFiniteEntry):
+                product(a, b)
 
 
 class TestErrorSweep:

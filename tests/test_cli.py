@@ -324,6 +324,23 @@ class TestSimulate:
                        "--hw", tmp_path / "nope.json", "--out", tmp_path / "c.csv")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "m, terms",
+        [(8.7, [[4, 8]]), (8, [[True, 8]]), (8, [["4", "8"]])],
+    )
+    def test_mistyped_json_is_data_error(self, tmp_path, m, terms):
+        # 8.7 used to be read as 8, [true, 8] as 1:8 and ["4", "8"] as 4:8
+        workload = tmp_path / "w.json"
+        workload.write_text(json.dumps(
+            {"name": "w", "baseline_quality": 1.0,
+             "layers": [{"id": "L0", "m": m, "n": 8, "k": 8}]}
+        ))
+        assignment = tmp_path / "a.json"
+        assignment.write_text(json.dumps({"L0": {"terms": terms}}))
+        proc = run_cli("simulate", "--workload", workload, "--hw", "vegeta-m8",
+                       "--assignment", assignment, "--out", tmp_path / "c.csv")
+        assert proc.returncode == 2
+
 
 class TestPatterns:
     def test_exact_support_table(self):

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from tasd import (
     NmPattern,
+    NonFiniteEntry,
     TasdConfig,
     approximate,
     decode,
@@ -228,6 +229,25 @@ class TestDropMetrics:
         assert metrics.dropped_magnitude_fraction == 0.0
         assert metrics.mse == 0.0
         assert metrics.retained_magnitude_fraction == 1.0
+
+
+class TestNonFiniteInput:
+    @given(matrices(), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+    @settings(max_examples=40, deadline=None)
+    def test_rejected_at_every_entry_point(self, mat, data, bad):
+        # a NaN weight used to report a retained magnitude fraction of 1.0
+        mat = mat.copy()
+        mat.flat[data.draw(st.integers(0, mat.size - 1))] = bad
+        calls = (
+            lambda: decompose(mat, "2:4"),
+            lambda: extract_term(mat, NmPattern(2, 4)),
+            lambda: approximate(mat, "2:4+1:8"),
+            lambda: is_compliant(mat, NmPattern(2, 4)),
+            lambda: sparsity(mat),
+        )
+        for call in calls:
+            with pytest.raises(NonFiniteEntry):
+                call()
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,11 @@ class TestNmPattern:
         with pytest.raises(ValueError):
             NmPattern(n, m)
 
+    @pytest.mark.parametrize("n,m", [(True, 4), (1, True), (2.0, 4), ("2", 4)])
+    def test_rejects_non_integers(self, n, m):
+        with pytest.raises(ValueError):
+            NmPattern(n, m)
+
     @pytest.mark.parametrize("text", ["", "4", "4:", ":8", "a:b", "2:4+1:4"])
     def test_rejects_malformed_text(self, text):
         with pytest.raises(ValueError):
@@ -251,6 +256,17 @@ class TestEncodeDecode:
 
 
 class TestFileIO:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_refused(self, tmp_path, bad):
+        mat = np.ones((2, 4))
+        mat[1, 2] = bad
+        path = tmp_path / "m.tasd1"
+        with pytest.raises(NonFiniteEntry):
+            save_matrix(mat, path)
+        assert not path.exists()
+        with pytest.raises(NonFiniteEntry):
+            encode(mat, NmPattern(4, 4))
+
     def test_binary_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         mat = new_dense(128, 128, rng.normal(size=(128, 128)))

@@ -9,9 +9,9 @@ from tasd import (
     EmptyCalibration,
     LayerSpec,
     LayerStats,
+    MagnitudeOracle,
     MissingStats,
     PatternMenu,
-    QualityOracle,
     SchemaError,
     TasdConfig,
     Workload,
@@ -276,7 +276,7 @@ class TestRankedPairs:
 class TestLayerWiseGreedy:
     def test_threshold_zero_applies_everything(self):
         wl = toy_workload()
-        oracle = QualityOracle.retained_magnitude()
+        oracle = MagnitudeOracle()
         assignment = layer_wise_greedy(wl, VEGETA_MENU, oracle, threshold=0.0)
         assert set(assignment) == {"L0", "L1", "L2"}
         # every layer escalated to the most aggressive config
@@ -287,13 +287,13 @@ class TestLayerWiseGreedy:
             LayerSpec(f"L{i}", 8, 8, 8, weight=np.zeros((8, 8))) for i in range(2)
         )
         wl = Workload("zeros", layers, baseline_quality=1.0)
-        oracle = QualityOracle.retained_magnitude()
+        oracle = MagnitudeOracle()
         assignment = layer_wise_greedy(wl, VEGETA_MENU, oracle, threshold=0.99)
         assert all(cfg.sum_n == 1 for cfg in assignment.values())
 
     def test_stops_at_first_violation_and_reverts(self):
         wl = toy_workload()
-        oracle = QualityOracle.retained_magnitude()
+        oracle = MagnitudeOracle()
         trace = []
         assignment = layer_wise_greedy(
             wl, VEGETA_MENU, oracle, threshold=0.97, trace=trace
@@ -306,7 +306,7 @@ class TestLayerWiseGreedy:
 
     def test_skip_and_continue_keeps_going(self):
         wl = toy_workload()
-        oracle = QualityOracle.retained_magnitude()
+        oracle = MagnitudeOracle()
         trace = []
         layer_wise_greedy(
             wl, VEGETA_MENU, oracle, threshold=0.97, skip_and_continue=True, trace=trace
@@ -315,7 +315,7 @@ class TestLayerWiseGreedy:
         assert not all(t["applied"] for t in trace)
 
     def test_quality_gate_holds_after_revert(self):
-        oracle = QualityOracle.retained_magnitude()
+        oracle = MagnitudeOracle()
         for seed in range(10):
             wl = toy_workload(seed=seed)
             for threshold in (0.9, 0.95, 0.99):
@@ -368,7 +368,7 @@ class TestNetworkWiseSearch:
         wl = toy_workload()
         trace = []
         network_wise_search(
-            wl, menu, QualityOracle.retained_magnitude(), threshold=0.0, trace=trace
+            wl, menu, MagnitudeOracle(), threshold=0.0, trace=trace
         )
         assert [t["config"] for t in trace] == ["2:4", "4:4"]
 
@@ -404,3 +404,9 @@ class TestAssignmentJson:
         bad.write_text("{nope")
         with pytest.raises(SchemaError):
             load_assignment(bad)
+
+    @pytest.mark.parametrize("terms", [[[2.7, 8]], [[True, 4]], [["2", "4"]], [[2, 4.0]]])
+    def test_mistyped_terms_rejected(self, terms):
+        # these used to be read as 2:8, 1:4, 2:4 and 2:4
+        with pytest.raises(SchemaError):
+            assignment_from_json({"L0": {"terms": terms}})

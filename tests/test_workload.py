@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tasd import (
+    CommandOracle,
     DimensionMismatch,
+    ErrorOracle,
     LayerSpec,
+    MagnitudeOracle,
     MissingCalibration,
     NonFiniteEntry,
     OracleFailure,
-    QualityOracle,
     SchemaError,
     TasdConfig,
     Workload,
@@ -54,6 +56,15 @@ class TestLayerSpec:
         for bad in [(0, 1, 1), (1, -2, 1), (1, 1, 0)]:
             with pytest.raises(SchemaError):
                 LayerSpec("L0", *bad)
+
+    @pytest.mark.parametrize(
+        "dims, flags",
+        [((2.0, 1, 1), {}), ((1, True, 1), {}), ((1, 1, 1), {"weights_sparse": 1}),
+         ((1, 1, 1), {"acts_sparse": "yes"})],
+    )
+    def test_typed_fields_required(self, dims, flags):
+        with pytest.raises(SchemaError):
+            LayerSpec("L0", *dims, **flags)
 
     def test_weight_shape_must_match_m_by_k(self):
         with pytest.raises(DimensionMismatch):
@@ -200,6 +211,27 @@ class TestLoadWorkload:
             with pytest.raises(SchemaError):
                 load_workload(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("m", 8.7),
+            ("n", True),
+            ("k", "8"),
+            ("weights_sparse", "false"),
+            ("acts_sparse", 1),
+            ("baseline_quality", True),
+            ("baseline_quality", "0.9"),
+        ],
+    )
+    def test_mistyped_values_rejected(self, tmp_path, key, value):
+        # each of these used to be coerced: 8.7 to 8, true to 1, "8" to 8,
+        # "false" to True, "0.9" to 0.9
+        layer = {"id": "a", "m": 8, "n": 8, "k": 8}
+        obj = {"name": "x", "baseline_quality": 0.9, "layers": [layer]}
+        (obj if key == "baseline_quality" else layer)[key] = value
+        with pytest.raises(SchemaError):
+            load_workload(self.write_manifest(tmp_path, obj))
+
     def test_unparsable_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{this is not json")
@@ -223,13 +255,13 @@ class TestLoadWorkload:
 class TestRetainedMagnitudeOracle:
     def test_dense_scores_exactly_baseline(self):
         wl = two_layer_workload(baseline=0.875)
-        oracle = QualityOracle.retained_magnitude()
+        oracle = MagnitudeOracle()
         assert oracle.evaluate(wl, {}) == 0.875
         assert oracle.evaluate(wl, {"L0": CFG("4:4")}) == 0.875
 
     def test_known_drop(self):
         wl = two_layer_workload(baseline=2.0)
-        oracle = QualityOracle.retained_magnitude()
+        oracle = MagnitudeOracle()
         # L0 keeps (4+3)/10 of its magnitude under 2:4, L1 counts as 1.0
         quality = oracle.evaluate(wl, {"L0": CFG("2:4")})
         assert quality == pytest.approx(2.0 * (0.7 + 1.0) / 2)
@@ -239,7 +271,7 @@ class TestRetainedMagnitudeOracle:
         wl = Workload(
             "w", (LayerSpec("L0", 16, 4, 16, weight=weight),), baseline_quality=1.0
         )
-        oracle = QualityOracle.retained_magnitude()
+        oracle = MagnitudeOracle()
         qualities = [
             oracle.evaluate(wl, {"L0": CFG(c)}) for c in ("6:8", "4:8", "2:8", "1:8")
         ]
@@ -248,7 +280,7 @@ class TestRetainedMagnitudeOracle:
 
     def test_configured_layer_without_weight_fails(self):
         wl = two_layer_workload()
-        oracle = QualityOracle.retained_magnitude()
+        oracle = MagnitudeOracle()
         with pytest.raises(OracleFailure):
             oracle.evaluate(wl, {"L1": CFG("1:2")})
 
@@ -268,24 +300,24 @@ class TestOutputErrorOracle:
 
     def test_dense_scores_baseline(self, tmp_path):
         wl = self.build(tmp_path, [1.0, 1.0], [[1.0], [1.0]])
-        oracle = QualityOracle.output_error()
+        oracle = ErrorOracle()
         assert oracle.evaluate(wl, {}) == 1.0
 
     def test_compliant_weight_is_error_free(self, tmp_path):
         wl = self.build(tmp_path, [1.0, 0.0], [[1.0], [1.0]])
-        oracle = QualityOracle.output_error()
+        oracle = ErrorOracle()
         assert oracle.evaluate(wl, {"L0": CFG("1:2")}) == 1.0
 
     def test_known_relative_error(self, tmp_path):
         # weight [1, 1] halves under 1:2; with sample [1, 1]^T the
         # residual product is 1 against a reference of 2.
         wl = self.build(tmp_path, [1.0, 1.0], [[1.0], [1.0]])
-        oracle = QualityOracle.output_error()
+        oracle = ErrorOracle()
         assert oracle.evaluate(wl, {"L0": CFG("1:2")}) == 0.5
 
     def test_missing_calibration_dir(self):
         wl = two_layer_workload()
-        oracle = QualityOracle.output_error()
+        oracle = ErrorOracle()
         with pytest.raises(MissingCalibration):
             oracle.evaluate(wl, {"L0": CFG("2:4")})
 
@@ -299,17 +331,17 @@ class TestOutputErrorOracle:
             baseline_quality=1.0,
         )
         with pytest.raises(MissingCalibration):
-            QualityOracle.output_error().evaluate(wl, {"L0": CFG("2:4")})
+            ErrorOracle().evaluate(wl, {"L0": CFG("2:4")})
 
     def test_sample_rows_must_match_k(self, tmp_path):
         wl = self.build(tmp_path, [1.0, 1.0], [[1.0], [1.0], [1.0]])
         with pytest.raises(DimensionMismatch):
-            QualityOracle.output_error().evaluate(wl, {"L0": CFG("1:2")})
+            ErrorOracle().evaluate(wl, {"L0": CFG("1:2")})
 
     def test_zero_reference_product_fails(self, tmp_path):
         wl = self.build(tmp_path, [0.0, 0.0], [[1.0], [1.0]])
         with pytest.raises(OracleFailure):
-            QualityOracle.output_error().evaluate(wl, {"L0": CFG("1:2")})
+            ErrorOracle().evaluate(wl, {"L0": CFG("1:2")})
 
     def test_loader_sorts_by_file_name(self, tmp_path):
         wl = self.build(tmp_path, [1.0, 1.0], [[1.0], [2.0]])
@@ -319,7 +351,7 @@ class TestOutputErrorOracle:
 
     def test_samples_are_cached(self, tmp_path):
         wl = self.build(tmp_path, [1.0, 1.0], [[1.0], [1.0]])
-        oracle = QualityOracle.output_error()
+        oracle = ErrorOracle()
         first = oracle.evaluate(wl, {"L0": CFG("1:2")})
         for p in (tmp_path / "calib").iterdir():
             p.unlink()
@@ -333,9 +365,9 @@ class TestOutputErrorOracle:
         wl_a = self.build(tmp_path / "a", [1.0, 1.0], [[1.0], [1.0]])
         wl_b = self.build(tmp_path / "b", [1.0, 1.0], [[1.0], [0.0]])
         assignment = {"L0": CFG("1:2")}
-        fresh_b = QualityOracle.output_error().evaluate(wl_b, assignment)
+        fresh_b = ErrorOracle().evaluate(wl_b, assignment)
         assert fresh_b == 1.0
-        oracle = QualityOracle.output_error()
+        oracle = ErrorOracle()
         assert oracle.evaluate(wl_a, assignment) == 0.5
         assert oracle.evaluate(wl_b, assignment) == fresh_b
         assert oracle.evaluate(wl_a, assignment) == 0.5
@@ -357,7 +389,7 @@ class TestExternalCommandOracle:
     def test_returns_printed_float(self, tmp_path):
         script = tmp_path / "oracle.py"
         script.write_text(ECHO_SCRIPT)
-        oracle = QualityOracle.external_command([sys.executable, str(script)])
+        oracle = CommandOracle([sys.executable, str(script)])
         wl = two_layer_workload()
         assert oracle.evaluate(wl, {}) == 0.761
         # referentially transparent: same inputs, same answer
@@ -367,7 +399,7 @@ class TestExternalCommandOracle:
         script = tmp_path / "oracle"
         script.write_text(f"#!{sys.executable}\n" + ECHO_SCRIPT)
         script.chmod(script.stat().st_mode | stat.S_IXUSR)
-        oracle = QualityOracle.external_command(str(script))
+        oracle = CommandOracle(str(script))
         assert oracle.evaluate(two_layer_workload(), {}) == 0.761
 
     def test_handoff_contract(self, tmp_path, monkeypatch):
@@ -379,7 +411,7 @@ class TestExternalCommandOracle:
         script.write_text(SNOOP_SCRIPT)
 
         wl = two_layer_workload(baseline=0.9)
-        oracle = QualityOracle.external_command([sys.executable, str(script)])
+        oracle = CommandOracle([sys.executable, str(script)])
         assignment = {"L0": CFG("2:4")}
         assert oracle.evaluate(wl, assignment) == 1.0
 
@@ -407,22 +439,22 @@ class TestExternalCommandOracle:
         for body in cases:
             script = tmp_path / "bad.py"
             script.write_text(body)
-            oracle = QualityOracle.external_command([sys.executable, str(script)])
+            oracle = CommandOracle([sys.executable, str(script)])
             with pytest.raises(OracleFailure):
                 oracle.evaluate(wl, {})
 
     def test_missing_binary(self):
-        oracle = QualityOracle.external_command([os.path.join(os.sep, "definitely", "missing")])
+        oracle = CommandOracle([os.path.join(os.sep, "definitely", "missing")])
         with pytest.raises(OracleFailure):
             oracle.evaluate(two_layer_workload(), {})
 
 
 class TestOracleConstruction:
-    def test_kind_validated(self):
+    def test_command_required(self):
         with pytest.raises(ValueError):
-            QualityOracle("telepathy")
+            CommandOracle("")
         with pytest.raises(ValueError):
-            QualityOracle("external_command")
+            CommandOracle([])
 
 
 class TestOracleWork:
