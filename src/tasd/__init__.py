@@ -49,7 +49,6 @@ from .hwmodel import (
     CostReport,
     HwSpec,
     decomp_latency,
-    expressible,
     gemm_cost,
     pattern_table,
     render_cost_csv,

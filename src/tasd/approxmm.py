@@ -14,7 +14,9 @@ from . import _kernels
 from ._parallel import map_ordered
 from .decomp import Decomposition, decompose, random_matrix
 from .errors import DegenerateProduct, DimensionMismatch
-from .matrix import DenseMatrix, NmCompressed, NmPattern, TasdConfig, as_matrix, config_of, freeze
+from .matrix import (
+    DenseMatrix, NmCompressed, NmPattern, TasdConfig, as_matrix, config_of, freeze, render_csv,
+)
 
 ERROR_CSV_HEADER = "a_sparsity,config,approx_sparsity,mean_rel_error,std_rel_error,seeds"
 
@@ -48,7 +50,7 @@ def spmm_term(term: NmCompressed, b):
 def tasd_matmul(d: Decomposition, b):
     """Distribute the product over the series: sum of term @ b, in order."""
     b = as_matrix(b)
-    rows, cols = d.source_dims
+    rows, cols = d.residual.shape
     if cols != b.shape[0]:
         raise DimensionMismatch(
             f"decomposition has {cols} cols but b has {b.shape[0]} rows"
@@ -146,10 +148,4 @@ def error_sweep(
 
 
 def render_error_csv(table) -> str:
-    lines = [ERROR_CSV_HEADER]
-    for row in table:
-        lines.append(
-            f"{row['a_sparsity']!r},{row['config']},{row['approx_sparsity']!r},"
-            f"{row['mean_rel_error']!r},{row['std_rel_error']!r},{row['seeds']}"
-        )
-    return "\n".join(lines) + "\n"
+    return render_csv(ERROR_CSV_HEADER, table)

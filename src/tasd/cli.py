@@ -32,7 +32,7 @@ from .hwmodel import (
     render_cost_csv,
     workload_cost,
 )
-from .matrix import TasdConfig, decode, load_matrix, save_matrix
+from .matrix import TasdConfig, decode, load_matrix, render_csv, save_matrix, write_json
 from .search import (
     layer_wise_greedy,
     network_wise_search,
@@ -124,23 +124,19 @@ def cmd_decompose(args) -> int:
     save_matrix(d.residual, out_dir / "residual.tasd1")
     metrics = drop_metrics(d)
     metrics_path = Path(args.metrics) if args.metrics else out_dir / "metrics.json"
-    with open(metrics_path, "w") as fh:
-        json.dump(
-            {
-                "config": d.config.canonical(),
-                "rows": d.source_dims[0],
-                "cols": d.source_dims[1],
-                "term_nnz": [t.nnz for t in d.terms],
-                "dropped_nnz_fraction": metrics.dropped_nnz_fraction,
-                "dropped_magnitude_fraction": metrics.dropped_magnitude_fraction,
-                "retained_magnitude_fraction": metrics.retained_magnitude_fraction,
-                "mse": metrics.mse,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(
+        {
+            "config": d.config.canonical(),
+            "rows": d.residual.shape[0],
+            "cols": d.residual.shape[1],
+            "term_nnz": [t.nnz for t in d.terms],
+            "dropped_nnz_fraction": metrics.dropped_nnz_fraction,
+            "dropped_magnitude_fraction": metrics.dropped_magnitude_fraction,
+            "retained_magnitude_fraction": metrics.retained_magnitude_fraction,
+            "mse": metrics.mse,
+        },
+        metrics_path,
+    )
     log.info("decomposed %s into %d terms under %s", args.infile, len(d.terms), out_dir)
     return 0
 
@@ -263,10 +259,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_patterns(args) -> int:
     hw = _load_hw(args.hw)
-    lines = ["total_n,realization"]
-    for total, cfg in pattern_table(hw):
-        lines.append(f"{total},{cfg.canonical() if cfg else '-'}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    rows = [{"total_n": n, "realization": cfg or "-"} for n, cfg in pattern_table(hw)]
+    sys.stdout.write(render_csv("total_n,realization", rows))
     return 0
 
 

@@ -20,9 +20,9 @@ from .matrix import (
     TasdConfig,
     as_matrix,
     config_of,
-    decode,
     extract_term,
     freeze,
+    render_csv,
 )
 
 SWEEP_CSV_HEADER = "density,distribution,config,seed,dropped_nnz,dropped_mag,mse"
@@ -33,7 +33,6 @@ _NORMAL_STD = 1.0 / 3.0
 
 @dataclass(frozen=True)
 class Decomposition:
-    source_dims: tuple[int, int]
     config: TasdConfig
     terms: tuple[NmCompressed, ...]
     residual: DenseMatrix
@@ -52,21 +51,17 @@ def decompose(mat, config) -> Decomposition:
     residual."""
     cfg = config_of(config)
     residual = as_matrix(mat)
-    shape = residual.shape
     terms = []
     for pattern in cfg.terms:
         term, residual = extract_term(residual, pattern)
         terms.append(term)
-    return Decomposition(shape, cfg, tuple(terms), residual)
+    return Decomposition(cfg, tuple(terms), residual)
 
 
 def approximate(mat, config) -> DenseMatrix:
-    """Sum of the decoded terms; equals ``mat - residual``."""
-    d = decompose(mat, config)
-    out = np.zeros(d.source_dims)
-    for term in d.terms:
-        out += decode(term)
-    return freeze(out)
+    """Sum of the terms, bit for bit: ``mat - residual`` (their supports are disjoint)."""
+    arr = as_matrix(mat)
+    return freeze(arr - decompose(arr, config).residual)
 
 
 def drop_metrics(d: Decomposition) -> DropMetrics:
@@ -186,11 +181,4 @@ def sweep_synthetic(
 
 
 def render_sweep_csv(table) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for row in table:
-        lines.append(
-            f"{row['density']!r},{row['distribution']},{row['config']},"
-            f"{row['seed']},{row['dropped_nnz']!r},{row['dropped_mag']!r},"
-            f"{row['mse']!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return render_csv(SWEEP_CSV_HEADER, table)

@@ -14,13 +14,15 @@ calibrated for relative comparisons (ratios, EDP direction), not joules.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 
 from .errors import MixedM, NotExpressible, SchemaError
-from .matrix import Assignment, PatternMenu, TasdConfig, _is_int, enumerate_configs, is_expressible
+from .matrix import (
+    Assignment, PatternMenu, TasdConfig, _is_finite, _is_int, config_of, enumerate_configs,
+    is_expressible, read_json, render_csv, write_json,
+)
 
 COST_CSV_HEADER = "layer,config,cycles,stalls,macs,e_mac,e_rf,e_l1,e_l2,e_dram,e_tasd,edp"
 
@@ -66,7 +68,7 @@ class HwSpec:
         # decomposition-unit energy is optional; register-file cost is the
         # closest stand-in for one packed-slot handling step
         energy.setdefault("tasd_unit", energy["rf_access"])
-        if not all(math.isfinite(v) and v >= 0 for v in energy.values()):
+        if not all(_is_finite(v) and v >= 0 for v in energy.values()):
             raise SchemaError("energy entries must be finite and non-negative")
         object.__setattr__(self, "energy_pj", MappingProxyType(energy))
 
@@ -91,22 +93,15 @@ class HwSpec:
                 energy_pj={k: float(v) for k, v in obj["energy_pj"].items()},
                 **{name: obj[name] for name in _COUNT_FIELDS},
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad hardware spec: {exc}") from exc
 
     @classmethod
     def from_json(cls, path) -> "HwSpec":
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}: {exc}") from exc
-        return cls.from_dict(obj)
+        return cls.from_dict(read_json(path))
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
 
 # the positive integer counts and capacities, in declaration order (the
@@ -171,21 +166,16 @@ BUILTIN_SPECS = {"vegeta-m8": vegeta_m8, "stc-m4": stc_m4}
 # pattern support
 
 
-def expressible(hw: HwSpec) -> list[TasdConfig]:
-    """Every series the target can realize, coverage ascending."""
-    return enumerate_configs(hw.menu)
-
-
 def pattern_table(hw: HwSpec) -> list[tuple[int, TasdConfig | None]]:
     """(total n, realization) for every total 1..m; None = unsupported."""
-    by_total = {cfg.sum_n: cfg for cfg in expressible(hw)}
+    by_total = {cfg.sum_n: cfg for cfg in enumerate_configs(hw.menu)}
     return [(total, by_total.get(total)) for total in range(1, hw.m + 1)]
 
 
 def decomp_latency(config) -> int:
     """Cycles one decomposition unit needs per block: the sum of n over
     the series (each term's extraction drains n slots)."""
-    cfg = config if isinstance(config, TasdConfig) else TasdConfig.parse(config)
+    cfg = config_of(config)
     if not cfg.same_m:
         raise MixedM(f"hardware cannot decompose mixed-m series {cfg.canonical()}")
     return cfg.sum_n
@@ -269,7 +259,7 @@ def gemm_cost(
 
     stalls = 0
     if not dense:
-        needed = hw.blocks_out_per_cycle * sum(ns)
+        needed = required_tasd_units(hw, config)
         avail = hw.tasd_units_per_ttc
         if needed > avail:
             # output stage throttled to the decomposition throughput
@@ -327,6 +317,9 @@ def workload_cost(
     report plus per-layer rows ready for the cost CSV."""
     assignment = assignment or {}
     gating_stats = gating_stats or {}
+    unknown = (set(assignment) | set(gating_stats)) - {ly.layer_id for ly in workload.layers}
+    if unknown:
+        raise SchemaError(f"no layer {', '.join(sorted(map(repr, unknown)))} in the workload")
     rows = []
     cycles = stalls = macs = 0
     totals = dict(_ZERO_BREAKDOWN)
@@ -370,11 +363,4 @@ def cost_row(layer: str, config: str, report: CostReport) -> dict:
 
 
 def render_cost_csv(rows) -> str:
-    lines = [COST_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row['layer']},{row['config']},{row['cycles']},{row['stalls']},"
-            f"{row['macs']},{row['e_mac']!r},{row['e_rf']!r},{row['e_l1']!r},"
-            f"{row['e_l2']!r},{row['e_dram']!r},{row['e_tasd']!r},{row['edp']!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return render_csv(COST_CSV_HEADER, rows)

@@ -1,6 +1,6 @@
 """Dense matrices, N:M sparsity patterns, series configurations and the
 pattern menus they are drawn from, the packed structured-sparse format
-with its greedy extraction pass, and matrix file IO.
+with its greedy extraction pass, and file IO (matrices, JSON, CSV).
 
 A dense matrix is a read-only, C-contiguous float64 ndarray; ``new_dense``
 is the validating constructor. N:M blocks run along rows (contiguous
@@ -10,6 +10,8 @@ partial block is held to the same at-most-n bound.
 
 from __future__ import annotations
 
+import json
+import math
 import numbers
 import re
 import struct
@@ -26,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     NonFiniteEntry,
     NotCompliant,
+    SchemaError,
 )
 
 DenseMatrix = np.ndarray
@@ -67,6 +70,14 @@ def as_matrix(mat) -> DenseMatrix:
 def _is_int(value) -> bool:
     """An integer that is not a bool (JSON ``true`` loads as one)."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """``math.isfinite`` that also refuses an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -319,12 +330,10 @@ def extract_term(mat, pattern: NmPattern):
 
 def encode(mat, pattern: NmPattern) -> NmCompressed:
     """Pack a pattern-compliant matrix; decode(encode(mat)) == mat exactly."""
-    arr = as_matrix(mat)
-    if not is_compliant(arr, pattern):
+    term, residual = extract_term(mat, pattern)
+    # one pass consumes a compliant matrix whole
+    if residual.any():
         raise NotCompliant(f"matrix is not {pattern} compliant")
-    term, residual = extract_term(arr, pattern)
-    # a compliant matrix is consumed whole: nothing may remain
-    assert not residual.any()
     return term
 
 
@@ -411,3 +420,26 @@ def _parse_csv(raw: bytes, path) -> DenseMatrix:
     if any(len(row) != width for row in table):
         raise BadHeader(f"{path}: ragged CSV rows")
     return new_dense(len(table), width, table)
+
+
+def read_json(path):
+    """Parse a JSON file; malformed JSON is a ``SchemaError`` naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: {exc}") from exc
+
+
+def write_json(obj, path) -> None:
+    """Indented JSON with sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def render_csv(header: str, rows) -> str:
+    """The header line, then each row's cells in header order (``str(float)`` is lossless)."""
+    keys = header.split(",")
+    lines = [header, *(",".join(str(row[key]) for key in keys) for row in rows)]
+    return "\n".join(lines) + "\n"

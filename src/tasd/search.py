@@ -5,7 +5,6 @@ activations. Each returns an ``Assignment`` (see ``tasd.matrix``).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,9 @@ from .matrix import (
     TasdConfig,
     dense_config,
     enumerate_configs,
+    read_json,
     sparsity,
+    write_json,
 )
 
 
@@ -261,15 +262,8 @@ def assignment_from_json(obj) -> Assignment:
 
 
 def save_assignment(assignment: Assignment, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(assignment_to_json(assignment), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(assignment_to_json(assignment), path)
 
 
 def load_assignment(path) -> Assignment:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: {exc}") from exc
-    return assignment_from_json(obj)
+    return assignment_from_json(read_json(path))

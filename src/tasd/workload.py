@@ -31,7 +31,9 @@ from .errors import (
     OracleFailure,
     SchemaError,
 )
-from .matrix import Assignment, DenseMatrix, TasdConfig, _is_int, load_matrix, save_matrix
+from .matrix import (
+    Assignment, DenseMatrix, TasdConfig, _is_finite, _is_int, load_matrix, read_json, save_matrix,
+)
 
 
 @dataclass(frozen=True)
@@ -103,11 +105,7 @@ def _coverage_fraction(cfg: TasdConfig) -> Fraction:
 def load_workload(manifest_path) -> Workload:
     """Read a workload manifest; matrix paths resolve relative to it."""
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{manifest_path}: {exc}") from exc
+    obj = read_json(manifest_path)
     if not isinstance(obj, dict):
         raise SchemaError(f"{manifest_path}: manifest must be a JSON object")
     try:
@@ -118,7 +116,7 @@ def load_workload(manifest_path) -> Workload:
         raise SchemaError(f"{manifest_path}: missing key {exc}") from exc
     if not isinstance(raw_layers, list) or not raw_layers:
         raise SchemaError(f"{manifest_path}: 'layers' must be a non-empty list")
-    if not (_is_int(baseline) or isinstance(baseline, float)) or not math.isfinite(baseline):
+    if not (_is_int(baseline) or isinstance(baseline, float)) or not _is_finite(baseline):
         raise SchemaError(f"{manifest_path}: baseline_quality must be a finite number")
 
     base_dir = manifest_path.parent

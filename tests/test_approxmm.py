@@ -205,6 +205,13 @@ class TestErrorSweep:
         assert table[0]["std_rel_error"] == 0.0
         assert table[0]["approx_sparsity"] == 0.0
 
+    def test_numpy_grid_renders_as_numbers(self):
+        # repr of a numpy sparsity is np.float64(0.2), not a number
+        kwargs = dict(dims=(8, 8), configs=("2:4",), seeds=[0])
+        as_array = error_sweep(a_sparsities=np.array([0.2, 0.8]), **kwargs)
+        as_list = error_sweep(a_sparsities=[0.2, 0.8], **kwargs)
+        assert render_error_csv(as_array) == render_error_csv(as_list)
+
     def test_csv_shape(self):
         table = error_sweep(
             dims=(16, 16), a_sparsities=(0.5,), configs=("2:4",), seeds=range(2)

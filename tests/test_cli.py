@@ -341,6 +341,31 @@ class TestSimulate:
                        "--assignment", assignment, "--out", tmp_path / "c.csv")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("case", ["baseline", "energy", "layer id"])
+    def test_overflow_and_unknown_layers_are_data_errors(self, workspace, tmp_path, case):
+        # a data error: no OverflowError traceback, and no cost report that
+        # silently prices every layer dense
+        workload = workspace / "workload.json"
+        hw = "vegeta-m8"
+        assignment = workspace / "assignment.json"
+        if case == "baseline":
+            obj = json.loads(workload.read_text())
+            obj["baseline_quality"] = 10**400
+            workload = tmp_path / "w.json"
+            workload.write_text(json.dumps(obj))
+        elif case == "energy":
+            obj = vegeta_m8().to_dict()
+            obj["energy_pj"]["mac"] = 10**400
+            hw = tmp_path / "hw.json"
+            hw.write_text(json.dumps(obj))
+        else:
+            assignment = tmp_path / "a.json"
+            assignment.write_text(json.dumps({"ZZ": {"terms": [[2, 8]]}}))
+        proc = run_cli("simulate", "--workload", workload, "--hw", hw,
+                       "--assignment", assignment, "--out", tmp_path / "c.csv")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
 
 class TestPatterns:
     def test_exact_support_table(self):

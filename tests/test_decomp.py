@@ -203,6 +203,15 @@ class TestApproximate:
         out = approximate(np.array([[4.0, 3.0, 2.0, 1.0]]), "2:4+2:4")
         assert out.tolist() == [[4.0, 3.0, 2.0, 1.0]]
 
+    @given(matrices(), st.sampled_from(pool_configs()))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_sum_of_decoded_terms(self, mat, config):
+        # bit for bit, signed zeros and partial blocks included
+        total = np.zeros(mat.shape)
+        for term in decompose(mat, config).terms:
+            total += decode(term)
+        assert approximate(mat, config).tobytes() == total.tobytes()
+
     def test_equals_source_minus_residual(self):
         rng = np.random.default_rng(2)
         mat = rng.normal(size=(7, 19))
@@ -328,6 +337,13 @@ class TestSweepSynthetic:
             (32, 32), (1.0,), ("uniform",), ("2:4",), seeds=range(2)
         )
         assert all(r["dropped_nnz"] == 0.5 for r in table)
+
+    def test_numpy_grid_renders_as_numbers(self):
+        # repr of a numpy density is np.float64(0.25), not a number
+        grid = ((8, 8), ["uniform"], ["2:4"])
+        as_array = sweep_synthetic(grid[0], np.array([0.25, 0.5]), *grid[1:], seeds=[0])
+        as_list = sweep_synthetic(grid[0], [0.25, 0.5], *grid[1:], seeds=[0])
+        assert render_sweep_csv(as_array) == render_sweep_csv(as_list)
 
     def test_csv_shape(self):
         table = sweep_synthetic(

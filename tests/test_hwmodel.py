@@ -15,6 +15,7 @@ from tasd import (
     TasdConfig,
     Workload,
     decomp_latency,
+    enumerate_configs,
     gemm_cost,
     pattern_table,
     required_tasd_units,
@@ -22,7 +23,7 @@ from tasd import (
     vegeta_m8,
     workload_cost,
 )
-from tasd.hwmodel import COST_CSV_HEADER, expressible, render_cost_csv
+from tasd.hwmodel import COST_CSV_HEADER, render_cost_csv
 
 CFG = TasdConfig.parse
 HW = vegeta_m8()
@@ -148,6 +149,16 @@ class TestHwSpecNumbers:
         with pytest.raises(SchemaError):
             HwSpec.from_dict(obj)
 
+    @pytest.mark.parametrize("key", ["mac", "tasd_unit"])
+    def test_energy_too_large_for_a_float_rejected(self, key):
+        # float() of a 401-digit JSON integer raises OverflowError
+        obj = HW.to_dict()
+        obj["energy_pj"][key] = 10**400
+        with pytest.raises(SchemaError):
+            HwSpec.from_dict(obj)
+        with pytest.raises(SchemaError):
+            custom_hw(energy_pj={**BASE_ENERGY, key: 10**400})
+
     def test_energy_table_must_be_an_object(self):
         obj = HW.to_dict()
         obj["energy_pj"] = [2.0, 0.5, 1.0, 4.0, 80.0]
@@ -219,7 +230,7 @@ class TestGemmCost:
 
     def test_cycle_ratio_tracks_coverage(self):
         dense = gemm_cost(HW, 1024, 1024, 1024).cycles
-        for cfg in expressible(HW):
+        for cfg in enumerate_configs(HW.menu):
             ratio = gemm_cost(HW, 1024, 1024, 1024, cfg).cycles / dense
             assert ratio == pytest.approx(cfg.coverage, rel=0.02)
         series = gemm_cost(HW, 1024, 1024, 1024, CFG("4:8+1:8"))
@@ -246,7 +257,7 @@ class TestGemmCost:
     def test_cycles_and_energy_monotone_in_coverage(self):
         for dims in [(64, 64, 64), (256, 256, 256), (96, 80, 72)]:
             reports = [
-                (cfg.coverage, gemm_cost(HW, *dims, cfg)) for cfg in expressible(HW)
+                (cfg.coverage, gemm_cost(HW, *dims, cfg)) for cfg in enumerate_configs(HW.menu)
             ]
             reports.sort(key=lambda t: t[0])
             for (_, lo), (_, hi) in zip(reports, reports[1:]):
@@ -337,6 +348,19 @@ class TestWorkloadCost:
         gated, _ = workload_cost(HW, wl, gating_stats={"L0": 1.0})
         assert gated.energy_pj < plain.energy_pj
         assert gated.cycles == plain.cycles
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"assignment": {"ZZ": CFG("2:8")}},
+            {"assignment": {"L0": CFG("2:8"), "ZZ": CFG("4:8")}},
+            {"gating_stats": {"ZZ": 0.5}},
+        ],
+    )
+    def test_unknown_layer_ids_rejected(self, kwargs):
+        # ignoring the id would price every layer dense without a word
+        with pytest.raises(SchemaError, match="'ZZ'"):
+            workload_cost(HW, three_layer_workload(), **kwargs)
 
     def test_csv_rendering(self):
         wl = three_layer_workload()

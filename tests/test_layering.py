@@ -73,6 +73,26 @@ def test_no_import_inside_a_function():
     assert deferred == []
 
 
+def test_only_matrix_parses_json():
+    """JSON files are read through ``matrix.read_json``, the one place that
+    turns malformed JSON into a SchemaError."""
+    readers = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "json"
+                and {a.name for a in node.names} & {"load", "loads"}
+            ):
+                readers.add(module)
+    assert readers <= {"matrix"}
+
+
 def test_cost_model_does_not_import_search():
     assert "search" not in GRAPH["hwmodel"]
     assert GRAPH["hwmodel"] <= {"errors", "matrix"}

@@ -1,5 +1,7 @@
 """Core matrix types, pattern algebra, packed format, and file IO."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from tasd import (
     NonFiniteEntry,
     NotCompliant,
     TasdConfig,
+    TasdError,
     config_of,
     decode,
     encode,
@@ -324,3 +327,57 @@ class TestFileIO:
         path.write_bytes(b"")
         with pytest.raises(BadMagic):
             load_matrix(path)
+
+
+# ---------------------------------------------------------------------------
+# parser fuzz
+
+VALID_BINARY = MAGIC + struct.pack("<QQ", 2, 3) + np.arange(-2.0, 4.0).astype("<f8").tobytes()
+VALID_CSV = b"1.0,2.5,-3\n0,4e-3,5\n"
+
+mutations = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 100)),
+    st.tuples(st.just("flip"), st.integers(0, 100), st.integers(1, 255)),
+    st.tuples(st.just("dims"), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+    st.tuples(
+        st.just("insert"),
+        st.integers(0, 100),
+        st.sampled_from([b"nan", b"inf", b"-inf", b"1e999", b",", b"\n", b"\r\n", b",,"]),
+    ),
+)
+
+
+def mutate(raw: bytes, op) -> bytes:
+    kind, *args = op
+    if kind == "truncate":
+        return raw[: args[0] % (len(raw) + 1)]
+    if kind == "flip":
+        if not raw:
+            return raw
+        pos = args[0] % len(raw)
+        return raw[:pos] + bytes([raw[pos] ^ args[1]]) + raw[pos + 1 :]
+    if kind == "dims":
+        # the header dims of the binary format, or 16 stray bytes in a CSV
+        return raw[: len(MAGIC)] + struct.pack("<QQ", *args) + raw[len(MAGIC) + 16 :]
+    pos = args[0] % (len(raw) + 1)
+    return raw[:pos] + args[1] + raw[pos:]
+
+
+class TestParserFuzz:
+    """A damaged matrix file fails with a TasdError or loads as a finite
+    2-D matrix; no other exception escapes ``load_matrix``."""
+
+    @given(
+        st.sampled_from([VALID_BINARY, VALID_CSV]), st.lists(mutations, min_size=1, max_size=4)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_only_typed_errors(self, tmp_path_factory, raw, ops):
+        for op in ops:
+            raw = mutate(raw, op)
+        path = tmp_path_factory.getbasetemp() / "fuzzed.matrix"
+        path.write_bytes(raw)
+        try:
+            mat = load_matrix(path)
+        except TasdError:
+            return
+        assert mat.ndim == 2 and np.isfinite(mat).all()

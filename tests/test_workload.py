@@ -232,6 +232,14 @@ class TestLoadWorkload:
         with pytest.raises(SchemaError):
             load_workload(self.write_manifest(tmp_path, obj))
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_baseline_too_large_for_a_float_rejected(self, tmp_path, sign):
+        # float() of a 401-digit JSON integer raises OverflowError
+        layer = {"id": "a", "m": 8, "n": 8, "k": 8}
+        obj = {"name": "x", "baseline_quality": sign * 10**400, "layers": [layer]}
+        with pytest.raises(SchemaError):
+            load_workload(self.write_manifest(tmp_path, obj))
+
     def test_unparsable_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{this is not json")
