@@ -5,11 +5,17 @@ matmul, compressed-times-dense matmul) exist twice: compiled with numba,
 and as vectorized pure numpy. ``TASD_BACKEND=numba|numpy`` forces a side;
 unset (or ``auto``) prefers numba when it is importable.
 
-Both backends pin the same summation order (ascending k per output
-element, no fused multiply-add), so the dense matmul agrees bit for bit
-across backends. The compressed kernel skips absent products entirely,
-which can flip the sign of an exact zero relative to the dense reference
-but changes nothing else.
+Both products pin the same summation order on both backends: ascending k
+per output element, one rounding per multiply and per add, no fused
+multiply-add. Both leave out products whose left operand is zero, so
+their cost tracks the non-zeros (the numpy rule is in ``_accumulate``).
+Leaving such a product out, or adding it, never changes a bit. The
+accumulator starts at +0.0 and is never -0.0, since under
+round-to-nearest a sum is -0.0 only when both addends are. The product
+is a zero times a finite number (the public entry points refuse NaN and
+Inf), so it is +-0.0, and adding +-0.0 leaves any accumulator other than
+-0.0 unchanged. The dense matmul and the compressed product of a decoded
+term therefore agree bit for bit, on either backend.
 """
 
 from __future__ import annotations
@@ -78,26 +84,49 @@ def extract_term_numpy(residual, values, indices, n, m):
     flat[br, bc] = 0.0
 
 
+def _accumulate(steps, b, out):
+    """out += column * b[k] for each (column, k) of ``steps``, in order.
+
+    ``column`` holds one left-operand value per row of ``out``, and ``k``
+    names the row of ``b`` it multiplies: one index for every row, or an
+    array with one index per row. Each row meets its k in ascending order
+    across the steps.
+
+    The one selection rule of both numpy products: a step with more than
+    a third of its rows non-zero updates ``out`` whole (its other rows add
+    exact zeros), a sparser one updates only its own rows, and an empty
+    one does no work.
+    """
+    rows_total = out.shape[0]
+    for column, k in steps:
+        count = np.count_nonzero(column)
+        if 3 * count > rows_total:
+            out += column[:, None] * b[k]
+        elif count:
+            rows = column.nonzero()[0]
+            out[rows] += column[rows, None] * b[k if isinstance(k, int) else k[rows]]
+
+
 def matmul_numpy(a, b, out):
-    """out += a @ b with ascending-k accumulation per output element."""
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k, :]
+    """out += a @ b with ascending-k accumulation per output element; step
+    k is column k of ``a``."""
+    _accumulate(zip(a.T, range(a.shape[1])), b, out)
 
 
 def spmm_numpy(values, indices, m, b, out):
-    """out += decode(term) @ b, ascending-k accumulation.
+    """out += decode(term) @ b with ascending-k accumulation per output
+    element, one step per (block, slot) of the term.
 
-    Expands the term to dense and reuses the dense kernel; the extra
-    products are exact zeros, so results match the compressed kernel up
-    to the sign of zero.
+    A step holds the slot's value in every row, zero where the slot is
+    unused, and multiplies the row of ``b`` that the slot's index names.
+    Valid slots of a block carry increasing indices, so each row meets its
+    columns in ascending order. The term is never expanded to dense.
     """
-    rows = values.shape[0]
-    dense = np.zeros((rows, b.shape[0]))
+    rows, blocks, _ = values.shape
     valid = indices >= 0
-    r, blk, _ = np.nonzero(valid)
-    cols = blk * m + indices[valid]
-    dense[r, cols] = values[valid]
-    matmul_numpy(dense, b, out)
+    ks = np.where(valid, indices, 0) + m * np.arange(blocks)[:, None]
+    columns = np.where(valid, values, 0.0).transpose(1, 2, 0).reshape(-1, rows)
+    _accumulate(zip(columns, ks.transpose(1, 2, 0).reshape(-1, rows)), b, out)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +174,8 @@ if HAS_NUMBA:
         for i in range(rows):
             for k in range(kk):
                 v = a[i, k]
+                if v == 0.0:
+                    continue
                 for j in range(ncols):
                     out[i, j] += v * b[k, j]
 

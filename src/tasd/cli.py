@@ -40,6 +40,7 @@ from .search import (
     save_assignment,
     load_assignment,
     select_activation_configs,
+    uniform_assignment,
 )
 from .workload import CommandOracle, ErrorOracle, MagnitudeOracle, load_calibration, load_workload
 
@@ -187,9 +188,7 @@ def cmd_search(args) -> int:
             wl, menu, oracle, threshold=args.threshold, trace=trace,
             cost=lambda a: workload_cost(hw, wl, a)[0].cycles,
         )
-        assignment = (
-            {} if cfg.is_dense else {ly.layer_id: cfg for ly in wl.layers}
-        )
+        assignment = uniform_assignment(wl, cfg)
         log.info("network-wise pick: %s (quality %g)", cfg.canonical(), quality)
     elif args.mode == "greedy":
         assignment = layer_wise_greedy(

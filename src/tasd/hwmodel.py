@@ -15,12 +15,13 @@ calibrated for relative comparisons (ratios, EDP direction), not joules.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 
 from .errors import MixedM, NotExpressible, SchemaError
 from .matrix import (
-    Assignment, PatternMenu, TasdConfig, _is_finite, _is_int, config_of, enumerate_configs,
+    Assignment, PatternMenu, TasdConfig, _is_int, _is_number, config_of, enumerate_configs,
     is_expressible, read_json, render_csv, write_json,
 )
 
@@ -61,6 +62,8 @@ class HwSpec:
             self.menu  # PatternMenu checks the base patterns against m
         except ValueError as exc:
             raise SchemaError(f"bad pattern menu: {exc}") from exc
+        if not isinstance(self.energy_pj, Mapping):
+            raise SchemaError("energy table must be a JSON object")
         energy = dict(self.energy_pj)
         for key in _ENERGY_KEYS:
             if key not in energy:
@@ -68,8 +71,10 @@ class HwSpec:
         # decomposition-unit energy is optional; register-file cost is the
         # closest stand-in for one packed-slot handling step
         energy.setdefault("tasd_unit", energy["rf_access"])
-        if not all(_is_finite(v) and v >= 0 for v in energy.values()):
-            raise SchemaError("energy entries must be finite and non-negative")
+        for key, value in energy.items():
+            if not (_is_number(value) and value >= 0):
+                raise SchemaError(f"energy entry {key!r} must be a finite non-negative number")
+        energy = {key: float(value) for key, value in energy.items()}
         object.__setattr__(self, "energy_pj", MappingProxyType(energy))
 
     @property
@@ -90,7 +95,7 @@ class HwSpec:
         try:
             return cls(
                 base_patterns=frozenset(obj["base_patterns"]),
-                energy_pj={k: float(v) for k, v in obj["energy_pj"].items()},
+                energy_pj=obj["energy_pj"],
                 **{name: obj[name] for name in _COUNT_FIELDS},
             )
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

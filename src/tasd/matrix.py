@@ -72,8 +72,11 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
-    """``math.isfinite`` that also refuses an integer too large for a float."""
+def _is_number(value) -> bool:
+    """A finite JSON number: a float, or an integer that is not a bool;
+    NaN, Inf and integers too large for a float are refused."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:

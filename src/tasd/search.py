@@ -97,6 +97,11 @@ def layer_wise_greedy(
     return assignment
 
 
+def uniform_assignment(workload, cfg: TasdConfig) -> Assignment:
+    """``cfg`` on every layer of ``workload``; empty when ``cfg`` is dense."""
+    return {} if cfg.is_dense else {ly.layer_id: cfg for ly in workload.layers}
+
+
 def network_wise_search(
     workload,
     menu: PatternMenu,
@@ -117,9 +122,7 @@ def network_wise_search(
     best_quality = None
     dense_quality = None
     for cfg in enumerate_configs(menu):
-        assignment: Assignment = (
-            {} if cfg.is_dense else {ly.layer_id: cfg for ly in workload.layers}
-        )
+        assignment = uniform_assignment(workload, cfg)
         quality = oracle.evaluate(workload, assignment)
         if cfg.is_dense:
             dense_quality = quality

@@ -32,7 +32,7 @@ from .errors import (
     SchemaError,
 )
 from .matrix import (
-    Assignment, DenseMatrix, TasdConfig, _is_finite, _is_int, load_matrix, read_json, save_matrix,
+    Assignment, DenseMatrix, TasdConfig, _is_int, _is_number, load_matrix, read_json, save_matrix,
 )
 
 
@@ -116,7 +116,7 @@ def load_workload(manifest_path) -> Workload:
         raise SchemaError(f"{manifest_path}: missing key {exc}") from exc
     if not isinstance(raw_layers, list) or not raw_layers:
         raise SchemaError(f"{manifest_path}: 'layers' must be a non-empty list")
-    if not (_is_int(baseline) or isinstance(baseline, float)) or not _is_finite(baseline):
+    if not _is_number(baseline):
         raise SchemaError(f"{manifest_path}: baseline_quality must be a finite number")
 
     base_dir = manifest_path.parent

@@ -1,6 +1,8 @@
 """Products over structured terms: exactness, MAC accounting, the
 distributivity identity, and the relative-error sweep."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,44 @@ def matrix_pairs(max_side=12):
     ).flatmap(build)
 
 
+# the numpy products update every row when more than a third of the rows
+# in a step (a column of A, or one slot of a term) are non-zero, and only
+# those rows otherwise; these kinds of column of A cover both branches and
+# the rule's boundary on either side
+COLUMN_KINDS = ("empty", "sparse", "at_rule", "past_rule", "full")
+# signed zeros, and a pair whose product underflows to -0.0
+SPECIAL = (-0.0, 1e-200, -1e-200, 1.5, -2.25)
+
+
+@st.composite
+def masked_pairs(draw):
+    """(A, B) with at least 40 rows in A and per-column densities of A
+    drawn from ``COLUMN_KINDS``; A holds -0.0 off its support, B exact
+    zeros and entries small enough for products to underflow."""
+    rows = draw(st.integers(40, 64))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=20))
+    cols = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = {
+        "empty": 0, "sparse": max(1, rows // 10),
+        "at_rule": rows // 3, "past_rule": rows // 3 + 1, "full": rows,
+    }
+
+    def entries(shape):
+        values = rng.normal(size=shape)
+        special = rng.random(shape) < 0.2
+        values[special] = rng.choice(SPECIAL, size=int(special.sum()))
+        return values
+
+    a = np.where(rng.random((rows, len(kinds))) < 0.5, 0.0, -0.0)
+    for k, kind in enumerate(kinds):
+        support = rng.permutation(rows)[: counts[kind]]
+        a[support, k] = entries(support.size)
+    b = entries((len(kinds), cols))
+    b[rng.random(b.shape) < 0.2] = 0.0
+    return a, b
+
+
 class TestMatmul:
     def test_identity(self):
         mat = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -61,6 +101,12 @@ class TestMatmul:
         a, b = pair
         ours = matmul(a, b)
         assert ours.tobytes() == py_matmul(a, b).tobytes()
+
+    @given(masked_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_across_column_densities(self, pair):
+        a, b = pair
+        assert matmul(a, b).tobytes() == py_matmul(a, b).tobytes()
 
 
 class TestSpmmTerm:
@@ -99,6 +145,14 @@ class TestSpmmTerm:
         reference = matmul(dense, b)
         assert np.array_equal(out, reference)
 
+    @given(masked_pairs(), st.sampled_from(pool_configs()))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_against_decoded_term(self, pair, config):
+        a, b = pair
+        for term in decompose(a, config).terms:
+            out, _ = spmm_term(term, b)
+            assert out.tobytes() == py_matmul(decode(term), b).tobytes()
+
 
 class TestTasdMatmul:
     def test_distributes_over_terms(self, example_2x8):
@@ -131,6 +185,18 @@ class TestTasdMatmul:
         reference = matmul(approximate(a, config), b)
         scale = np.linalg.norm(reference)
         assert np.linalg.norm(ours - reference) <= 1e-10 * max(scale, 1.0)
+
+    @given(masked_pairs(), st.sampled_from(pool_configs()))
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_against_decoded_terms(self, pair, config):
+        # term after term, each in ascending k: the product of the decoded
+        # terms side by side with copies of B stacked to match
+        a, b = pair
+        d = decompose(a, config)
+        ours, _ = tasd_matmul(d, b)
+        side_by_side = np.hstack([decode(term) for term in d.terms])
+        stacked = np.vstack([b] * len(d.terms))
+        assert ours.tobytes() == py_matmul(side_by_side, stacked).tobytes()
 
 
 class TestRelativeError:
@@ -224,3 +290,14 @@ class TestErrorSweep:
         assert cells[1] == "2:4"
         assert float(cells[3]) == table[0]["mean_rel_error"]
         assert cells[5] == "2"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_csv_bytes(self, workers):
+        # recorded before the products learned to skip zero operands; any
+        # change of summation order shows here. The error norms go through
+        # the BLAS dot product, so another BLAS build may round them apart
+        table = error_sweep(
+            (64, 64), (0.2, 0.8), seeds=range(2), master_seed=3, workers=workers
+        )
+        digest = hashlib.sha256(render_error_csv(table).encode()).hexdigest()
+        assert digest == "dece737c0b71b9aa5cc6cd40dff915a949cb2bdec398ee57d2257d59c2cc3eeb"

@@ -367,6 +367,18 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
 
 
+    @pytest.mark.parametrize("value", ["2.5", True])
+    def test_mistyped_energy_is_data_error(self, workspace, tmp_path, value):
+        obj = vegeta_m8().to_dict()
+        obj["energy_pj"]["mac"] = value
+        hw = tmp_path / "hw.json"
+        hw.write_text(json.dumps(obj))
+        proc = run_cli("simulate", "--workload", workspace / "workload.json", "--hw", hw,
+                       "--out", tmp_path / "c.csv")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+
 class TestPatterns:
     def test_exact_support_table(self):
         proc = run_cli("patterns", "--hw", "vegeta-m8", check=True)

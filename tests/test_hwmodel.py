@@ -159,6 +159,35 @@ class TestHwSpecNumbers:
         with pytest.raises(SchemaError):
             custom_hw(energy_pj={**BASE_ENERGY, key: 10**400})
 
+    @pytest.mark.parametrize("value", ["2.5", True, False, None, [2.0]])
+    @pytest.mark.parametrize("key", ["mac", "tasd_unit"])
+    def test_energy_must_be_a_json_number(self, key, value):
+        # "2.5" used to load as 2.5 and true as 1.0, while the same values
+        # in a count field were refused
+        obj = HW.to_dict()
+        obj["energy_pj"][key] = value
+        with pytest.raises(SchemaError):
+            HwSpec.from_dict(obj)
+        with pytest.raises(SchemaError):
+            custom_hw(energy_pj={**BASE_ENERGY, key: value})
+
+    def test_integer_energy_loads_as_float(self):
+        obj = HW.to_dict()
+        obj["energy_pj"]["mac"] = 2
+        loaded = HwSpec.from_dict(obj)
+        assert loaded == HW
+        assert type(loaded.energy_pj["mac"]) is float
+
+    def test_energy_table_of_pairs_rejected(self):
+        # dict() of a list of pairs used to pass for a table
+        pairs = [[key, value] for key, value in BASE_ENERGY.items()]
+        obj = HW.to_dict()
+        obj["energy_pj"] = pairs
+        with pytest.raises(SchemaError):
+            HwSpec.from_dict(obj)
+        with pytest.raises(SchemaError):
+            custom_hw(energy_pj=pairs)
+
     def test_energy_table_must_be_an_object(self):
         obj = HW.to_dict()
         obj["energy_pj"] = [2.0, 0.5, 1.0, 4.0, 80.0]
