@@ -15,7 +15,8 @@ from ._parallel import map_ordered
 from .decomp import Decomposition, decompose, random_matrix
 from .errors import DegenerateProduct, DimensionMismatch
 from .matrix import (
-    DenseMatrix, NmCompressed, NmPattern, TasdConfig, as_matrix, config_of, freeze, render_csv,
+    DenseMatrix, NmCompressed, NmPattern, TasdConfig, _check_indices, as_matrix, config_of,
+    freeze, render_csv,
 )
 
 ERROR_CSV_HEADER = "a_sparsity,config,approx_sparsity,mean_rel_error,std_rel_error,seeds"
@@ -36,7 +37,9 @@ def spmm_term(term: NmCompressed, b):
     """Compressed times dense; returns (product, MACs actually performed).
 
     Only valid slots multiply, so the MAC count is nnz(term) * b.cols.
+    Corrupt indices raise ``CorruptIndices``, as in ``decode``.
     """
+    _check_indices(term)
     b = as_matrix(b)
     if term.cols != b.shape[0]:
         raise DimensionMismatch(
@@ -58,6 +61,7 @@ def tasd_matmul(d: Decomposition, b):
     out = np.zeros((rows, b.shape[1]))
     macs = 0
     for term in d.terms:
+        _check_indices(term)
         _kernels.spmm_into(term.values, term.indices, term.pattern.m, b, out)
         macs += term.nnz * b.shape[1]
     return freeze(out), macs

@@ -32,7 +32,9 @@ from .hwmodel import (
     render_cost_csv,
     workload_cost,
 )
-from .matrix import TasdConfig, decode, load_matrix, render_csv, save_matrix, write_json
+from .matrix import (
+    TasdConfig, decode, load_matrix, render_csv, save_indices, save_matrix, write_json,
+)
 from .search import (
     layer_wise_greedy,
     network_wise_search,
@@ -113,15 +115,7 @@ def cmd_decompose(args) -> int:
     d = decompose(mat, args.config)
     for i, term in enumerate(d.terms):
         save_matrix(decode(term), out_dir / f"term_{i:02d}.tasd1")
-        sidecar = {
-            "pattern": str(term.pattern),
-            "rows": term.rows,
-            "cols": term.cols,
-            "indices": term.indices.tolist(),
-        }
-        with open(out_dir / f"term_{i:02d}.indices.json", "w") as fh:
-            json.dump(sidecar, fh)
-            fh.write("\n")
+        save_indices(term, out_dir / f"term_{i:02d}.indices.json")
     save_matrix(d.residual, out_dir / "residual.tasd1")
     metrics = drop_metrics(d)
     metrics_path = Path(args.metrics) if args.metrics else out_dir / "metrics.json"

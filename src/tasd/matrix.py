@@ -223,29 +223,19 @@ def enumerate_configs(menu: PatternMenu) -> list[TasdConfig]:
     with bases {1,2,4} realizes as 4:8+1:8. A total of m is the dense
     single term.
     """
-    best: dict[int, tuple[int, ...]] = {}
-
-    def offer(combo: tuple[int, ...]):
-        total = sum(combo)
-        if total > menu.m:
-            return
-        held = best.get(total)
-        # fewest terms wins; then the lexicographically largest descending
-        if held is None or len(combo) < len(held) or (len(combo) == len(held) and combo > held):
-            best[total] = combo
-
+    # combinations come fewest terms first, and largest first within a
+    # length, so the first one seen for a total is the one to keep
+    best = {menu.m: (menu.m,)}
     for r in range(1, menu.max_terms + 1):
         for combo in combinations_with_replacement(
             sorted(menu.base_patterns, reverse=True), r
         ):
-            offer(combo)
-    offer((menu.m,))  # the implicit dense option
+            if sum(combo) <= menu.m:
+                best.setdefault(sum(combo), combo)
 
-    configs = []
-    for total in sorted(best):
-        terms = tuple(NmPattern(n, menu.m) for n in best[total])
-        configs.append(TasdConfig(terms))
-    return configs
+    return [
+        TasdConfig(tuple(NmPattern(n, menu.m) for n in best[total])) for total in sorted(best)
+    ]
 
 
 def dense_config(menu: PatternMenu) -> TasdConfig:
@@ -311,11 +301,15 @@ def pad_blocks(arr: np.ndarray, m: int) -> np.ndarray:
     return padded
 
 
+def block_nnz(mat, m: int) -> np.ndarray:
+    """Non-zeros in each m-block of each row, shaped rows x blocks."""
+    padded = pad_blocks(as_matrix(mat), m)
+    return np.count_nonzero(padded.reshape(padded.shape[0], -1, m), axis=2)
+
+
 def is_compliant(mat, pattern: NmPattern) -> bool:
     """True iff every m-block of every row holds at most n non-zeros."""
-    padded = pad_blocks(as_matrix(mat), pattern.m)
-    blocks = padded.reshape(padded.shape[0], padded.shape[1] // pattern.m, pattern.m)
-    return bool(np.all(np.count_nonzero(blocks, axis=2) <= pattern.n))
+    return bool(np.all(block_nnz(mat, pattern.m) <= pattern.n))
 
 
 def extract_term(mat, pattern: NmPattern):
@@ -340,29 +334,28 @@ def encode(mat, pattern: NmPattern) -> NmCompressed:
     return term
 
 
+def _check_indices(c: NmCompressed) -> None:
+    """Raise ``CorruptIndices`` unless each slot is the -1 padding or a column
+    inside its block and the matrix, increasing within the block."""
+    m = c.pattern.m
+    if np.any((c.indices < -1) | (c.indices >= m)):
+        raise CorruptIndices("index is neither the -1 padding nor inside its block")
+    # each valid slot exceeds every earlier slot of its block (padding is -1)
+    before = np.maximum.accumulate(c.indices, axis=2)[:, :, :-1]
+    if np.any((c.indices[:, :, 1:] >= 0) & (c.indices[:, :, 1:] <= before)):
+        raise CorruptIndices("block indices must be strictly increasing")
+    # the final block may be partial
+    if np.any(c.indices[:, -1] >= c.cols - (c.blocks_per_row - 1) * m):
+        raise CorruptIndices("index lands beyond the final partial block")
+
+
 def decode(c: NmCompressed) -> DenseMatrix:
     """Expand a packed term back to its dense form."""
-    m = c.pattern.m
+    _check_indices(c)
     valid = c.indices >= 0
-    stray = c.indices[valid]
-    if stray.size and (int(stray.min()) < 0 or int(stray.max()) >= m):
-        raise CorruptIndices("block index out of range")
-    if np.any(c.indices < -1):
-        raise CorruptIndices("negative index is not the padding sentinel")
-    # strictly increasing across the valid slots of each block
-    last = np.full((c.rows, c.blocks_per_row), -1, dtype=np.int64)
-    for s in range(c.pattern.n):
-        cur = c.indices[:, :, s]
-        here = cur >= 0
-        if np.any(cur[here] <= last[here]):
-            raise CorruptIndices("block indices must be strictly increasing")
-        last = np.where(here, cur, last)
     r, blk, _ = np.nonzero(valid)
-    cols = blk * m + c.indices[valid]
-    if cols.size and int(cols.max()) >= c.cols:
-        raise CorruptIndices("index lands beyond the final partial block")
     out = np.zeros((c.rows, c.cols))
-    out[r, cols] = c.values[valid]
+    out[r, blk * c.pattern.m + c.indices[valid]] = c.values[valid]
     return freeze(out)
 
 
@@ -378,6 +371,14 @@ def save_matrix(mat, path) -> None:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(rows, cols))
         fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def save_indices(term: NmCompressed, path) -> None:
+    """A term's pattern, dims and packed indices as one compact JSON line."""
+    with open(path, "w") as fh:
+        json.dump({"pattern": str(term.pattern), "rows": term.rows, "cols": term.cols,
+                   "indices": term.indices.tolist()}, fh)
+        fh.write("\n")
 
 
 def load_matrix(path) -> DenseMatrix:

@@ -9,13 +9,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decomp import decompose, drop_metrics
 from .errors import EmptyCalibration, MissingStats, SchemaError
 from .matrix import (
     Assignment,
     NmPattern,
     PatternMenu,
     TasdConfig,
+    block_nnz,
     dense_config,
     enumerate_configs,
     read_json,
@@ -41,14 +41,20 @@ def ranked_pairs(workload, menu: PatternMenu):
 
     Ties prefer the larger coverage, then earlier layer order. Dense is
     not a pair; it is the starting state of every layer.
+    A menu config is same-m, so its series keeps min(nnz, sum_n) of each
+    m-block: the drop is counted from the blocks, on Python ints, and
+    equals ``drop_metrics(decompose(...)).dropped_nnz_fraction``.
     """
     configs = [c for c in enumerate_configs(menu) if not c.is_dense]
     pairs = []
     for li, layer in enumerate(workload.layers):
         if layer.weight is None:
             raise SchemaError(f"layer {layer.layer_id} has no weight matrix")
+        counts = block_nnz(layer.weight, menu.m)
+        total = int(counts.sum())
         for cfg in configs:
-            drop = drop_metrics(decompose(layer.weight, cfg)).dropped_nnz_fraction
+            dropped = int(np.maximum(counts - cfg.sum_n, 0).sum())
+            drop = dropped / total if total else 0.0
             pairs.append((drop, -cfg.coverage, li, layer.layer_id, cfg))
     pairs.sort(key=lambda p: (p[0], p[1], p[2]))
     return [(drop, layer_id, cfg) for drop, _, _, layer_id, cfg in pairs]

@@ -11,7 +11,6 @@ evaluation.
 
 from __future__ import annotations
 
-import json
 import math
 import subprocess
 import tempfile
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .matrix import (
     Assignment, DenseMatrix, TasdConfig, _is_int, _is_number, load_matrix, read_json, save_matrix,
+    write_json,
 )
 
 
@@ -281,9 +281,11 @@ class CommandOracle:
 
 
 def _write_handoff(tmp: Path, workload: Workload, assignment: Assignment) -> Path:
-    """Per-layer approximated dense weights plus a JSON index."""
+    """Per-layer approximated dense weights plus a JSON index. Weight files
+    are named by layer position, so no layer id can place one outside
+    ``tmp``."""
     layers = []
-    for ly in workload.layers:
+    for li, ly in enumerate(workload.layers):
         cfg = assignment.get(ly.layer_id)
         entry = {
             "id": ly.layer_id,
@@ -296,22 +298,14 @@ def _write_handoff(tmp: Path, workload: Workload, assignment: Assignment) -> Pat
             "weight": None,
         }
         if ly.weight is not None:
-            filename = f"{ly.layer_id}.tasd1"
+            filename = f"layer_{li:03d}.tasd1"
             mat = ly.weight if cfg is None or cfg.is_dense else approximate(ly.weight, cfg)
             save_matrix(mat, tmp / filename)
             entry["weight"] = filename
         layers.append(entry)
     manifest = tmp / "manifest.json"
-    with open(manifest, "w") as fh:
-        json.dump(
-            {
-                "name": workload.name,
-                "baseline_quality": workload.baseline_quality,
-                "layers": layers,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    write_json(
+        {"name": workload.name, "baseline_quality": workload.baseline_quality, "layers": layers},
+        manifest,
+    )
     return manifest
-

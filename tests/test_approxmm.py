@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tasd import (
+    CorruptIndices,
+    Decomposition,
     DegenerateProduct,
     DimensionMismatch,
+    NmCompressed,
     NmPattern,
     NonFiniteEntry,
+    TasdConfig,
     approximate,
     decode,
     decompose,
@@ -197,6 +201,39 @@ class TestTasdMatmul:
         side_by_side = np.hstack([decode(term) for term in d.terms])
         stacked = np.vstack([b] * len(d.terms))
         assert ours.tobytes() == py_matmul(side_by_side, stacked).tobytes()
+
+
+class TestCorruptIndices:
+    """Both products refuse the packed indices that ``decode`` refuses,
+    instead of multiplying by the wrong rows of B."""
+
+    CASES = {
+        "out-of-block": (NmPattern(1, 4), 8, [[[5], [0]]]),
+        "below-padding": (NmPattern(1, 4), 8, [[[-2], [0]]]),
+        "non-increasing": (NmPattern(2, 4), 8, [[[2, 1], [0, 1]]]),
+        "duplicate": (NmPattern(2, 4), 8, [[[0, 1], [3, 3]]]),
+        "beyond-partial-block": (NmPattern(1, 4), 6, [[[0], [3]]]),
+    }
+
+    @staticmethod
+    def spmm(term, b):
+        return spmm_term(term, b)
+
+    @staticmethod
+    def series(term, b):
+        residual = np.zeros((term.rows, term.cols))
+        return tasd_matmul(Decomposition(TasdConfig((term.pattern,)), (term,), residual), b)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("product", ["spmm", "series"])
+    def test_refused(self, case, product):
+        pattern, cols, indices = self.CASES[case]
+        values = np.arange(1.0, 1.0 + np.size(indices)).reshape(np.shape(indices))
+        term = NmCompressed(pattern, 1, cols, values, indices)
+        with pytest.raises(CorruptIndices):
+            decode(term)
+        with pytest.raises(CorruptIndices):
+            getattr(self, product)(term, np.arange(float(cols)).reshape(cols, 1))
 
 
 class TestRelativeError:

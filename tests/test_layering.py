@@ -73,24 +73,39 @@ def test_no_import_inside_a_function():
     assert deferred == []
 
 
-def test_only_matrix_parses_json():
-    """JSON files are read through ``matrix.read_json``, the one place that
-    turns malformed JSON into a SchemaError."""
-    readers = set()
+def _json_users(names):
+    """Modules that reach any of ``names`` in the json module."""
+    users = set()
     for module in MODULES:
         for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
             if (
                 isinstance(node, ast.Attribute)
-                and node.attr in ("load", "loads")
+                and node.attr in names
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "json"
             ) or (
                 isinstance(node, ast.ImportFrom)
                 and node.module == "json"
-                and {a.name for a in node.names} & {"load", "loads"}
+                and {a.name for a in node.names} & set(names)
             ):
-                readers.add(module)
-    assert readers <= {"matrix"}
+                users.add(module)
+    return users
+
+
+def test_only_matrix_parses_json():
+    """JSON files are read through ``matrix.read_json``, the one place that
+    turns malformed JSON into a SchemaError."""
+    assert _json_users(("load", "loads")) <= {"matrix"}
+
+
+def test_only_matrix_writes_json_files():
+    """JSON files are written by ``matrix.write_json`` and
+    ``matrix.save_indices``."""
+    assert _json_users(("dump",)) <= {"matrix"}
+
+
+def test_search_ranks_without_decomposing():
+    assert GRAPH["search"] <= {"errors", "matrix"}
 
 
 def test_cost_model_does_not_import_search():

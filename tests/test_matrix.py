@@ -28,7 +28,7 @@ from tasd import (
     save_matrix,
     sparsity,
 )
-from tasd.matrix import MAGIC
+from tasd.matrix import MAGIC, block_nnz
 
 finite_entries = st.one_of(
     st.integers(-4, 4).map(float),
@@ -190,6 +190,23 @@ class TestIsCompliant:
         assert not is_compliant(mat, NmPattern(1, 4))
 
 
+class TestBlockNnz:
+    def test_counts_per_block_with_partial_tail(self):
+        mat = np.array([[1.0, 0.0, -0.0, 2.0, 3.0, 0.0], [0.0] * 6])
+        assert block_nnz(mat, 4).tolist() == [[2, 1], [0, 0]]
+
+    @given(small_matrices(), st.integers(1, 9))
+    @settings(max_examples=60)
+    def test_matches_blockwise_count(self, mat, m):
+        counts = block_nnz(mat, m)
+        rows, cols = mat.shape
+        expected = [
+            [int(np.count_nonzero(mat[r, c : c + m])) for c in range(0, cols, m)]
+            for r in range(rows)
+        ]
+        assert counts.tolist() == expected
+
+
 class TestEncodeDecode:
     def test_encode_packs_values_and_indices(self):
         c = encode(np.array([[5.0, 0.0, 3.0, 0.0]]), NmPattern(2, 4))
@@ -228,6 +245,15 @@ class TestEncodeDecode:
 
     def test_decode_rejects_out_of_range_index(self):
         c = NmCompressed(NmPattern(2, 4), 1, 4, [[[5.0, 3.0]]], [[[0, 4]]])
+        with pytest.raises(CorruptIndices):
+            decode(c)
+
+    def test_decode_allows_padding_between_valid_slots(self):
+        c = NmCompressed(NmPattern(3, 4), 1, 4, [[[5.0, 0.0, 3.0]]], [[[1, -1, 3]]])
+        assert decode(c).tolist() == [[0.0, 5.0, 0.0, 3.0]]
+
+    def test_decode_rejects_decrease_across_padding(self):
+        c = NmCompressed(NmPattern(3, 4), 1, 4, [[[5.0, 0.0, 3.0]]], [[[3, -1, 1]]])
         with pytest.raises(CorruptIndices):
             decode(c)
 

@@ -1,5 +1,7 @@
 """Config enumeration for a pattern menu and the selection algorithms."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +13,16 @@ from tasd import (
     LayerStats,
     MagnitudeOracle,
     MissingStats,
+    NmPattern,
     PatternMenu,
     SchemaError,
     TasdConfig,
     Workload,
     assignment_from_json,
     assignment_to_json,
+    decompose,
     dense_config,
+    drop_metrics,
     enumerate_configs,
     is_expressible,
     layer_wise_greedy,
@@ -29,6 +34,8 @@ from tasd import (
     save_assignment,
     select_activation_configs,
     sparsity_select,
+    stc_m4,
+    vegeta_m8,
 )
 from tasd.search import ranked_pairs
 
@@ -94,6 +101,36 @@ class TestEnumerateConfigs:
         assert totals[-1] == menu.m
         assert configs[-1].is_dense
         assert all(is_expressible(c, menu) for c in configs)
+
+
+    def test_matches_brute_force_on_every_small_menu(self):
+        # every base subset of m <= 8 and up to three terms
+        for m in range(1, 9):
+            for size in range(1, m + 1):
+                for base in itertools.combinations(range(1, m + 1), size):
+                    for max_terms in (1, 2, 3):
+                        menu = PatternMenu(m, frozenset(base), max_terms)
+                        assert enumerate_configs(menu) == brute_force_configs(menu), menu
+
+
+def brute_force_configs(menu):
+    """Each total's realization: every multiset of bases, then the fewest
+    terms and the lexicographically largest descending tuple; dense is m:m."""
+    realizations = {menu.m: {(menu.m,)}}
+    for r in range(1, menu.max_terms + 1):
+        for picks in itertools.product(sorted(menu.base_patterns), repeat=r):
+            if sum(picks) <= menu.m:
+                combo = tuple(sorted(picks, reverse=True))
+                realizations.setdefault(sum(picks), set()).add(combo)
+    return [
+        TasdConfig(
+            tuple(
+                NmPattern(n, menu.m)
+                for n in min(combos, key=lambda c: (len(c), [-n for n in c]))
+            )
+        )
+        for _, combos in sorted(realizations.items())
+    ]
 
 
 class TestIsExpressible:
@@ -271,6 +308,57 @@ class TestRankedPairs:
         )
         with pytest.raises(SchemaError):
             ranked_pairs(wl, VEGETA_MENU)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 9),
+                st.integers(1, 40),
+                st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
+                st.integers(0, 2**16),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from(["vegeta-m8", "stc-m4"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_decomposed_ranking(self, specs, hw):
+        # cols not a multiple of m give partial blocks; negating a draw
+        # turns its zeros into -0.0
+        layers = []
+        for i, (rows, cols, density, seed, negate) in enumerate(specs):
+            weight = random_matrix(rows, cols, density, "normal", seed=seed)
+            layers.append(LayerSpec(f"L{i}", rows, 4, cols, weight=-weight if negate else weight))
+        wl = Workload("drawn", tuple(layers), baseline_quality=1.0)
+        menu = (vegeta_m8() if hw == "vegeta-m8" else stc_m4()).menu
+        ranked = ranked_pairs(wl, menu)
+        expected = decomposed_ranking(wl, menu)
+        assert ranked == expected
+        assert [type(drop) for drop, _, _ in ranked] == [float] * len(expected)
+
+    def test_runs_no_extraction(self, monkeypatch):
+        import tasd._kernels
+
+        calls = []
+        monkeypatch.setattr(tasd._kernels, "extract_term_blocks", lambda *a: calls.append(a))
+        wl = toy_workload()
+        ranked_pairs(wl, VEGETA_MENU)
+        ranked_pairs(wl, stc_m4().menu)
+        assert calls == []
+
+
+def decomposed_ranking(workload, menu):
+    """``ranked_pairs`` computed by decomposing every (layer, config) pair."""
+    pairs = []
+    for li, layer in enumerate(workload.layers):
+        for cfg in enumerate_configs(menu):
+            if not cfg.is_dense:
+                drop = drop_metrics(decompose(layer.weight, cfg)).dropped_nnz_fraction
+                pairs.append((drop, -cfg.coverage, li, layer.layer_id, cfg))
+    pairs.sort(key=lambda p: p[:3])
+    return [(drop, layer_id, cfg) for drop, _, _, layer_id, cfg in pairs]
 
 
 class TestLayerWiseGreedy:

@@ -436,6 +436,36 @@ class TestExternalCommandOracle:
         expected = approximate(wl.layer("L0").weight, CFG("2:4"))
         assert np.array_equal(handed, expected)
 
+    def test_layer_ids_cannot_place_files(self, tmp_path, monkeypatch):
+        import tempfile
+
+        from tasd import approximate
+
+        temp_root = tmp_path / "temp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        copy_dir = tmp_path / "copied"
+        monkeypatch.setenv("HANDOFF_COPY_DIR", str(copy_dir))
+        script = tmp_path / "snoop.py"
+        script.write_text(SNOOP_SCRIPT)
+
+        weights = [new_dense(2, 4, [4.0, 3.0, 2.0, 1.0, 0.0, 5.0, 6.0, 7.0]) * s for s in (1, 2)]
+        layers = [LayerSpec(i, 2, 3, 4, weight=w) for i, w in zip(("../escaped", "a/b"), weights)]
+        wl = Workload("ids", tuple(layers), baseline_quality=1.0)
+        assignment = {"a/b": CFG("2:4")}
+        assert CommandOracle([sys.executable, str(script)]).evaluate(wl, assignment) == 1.0
+
+        assert list(temp_root.iterdir()) == []  # the oracle's temp dir is gone, nothing beside it
+        manifest = json.loads((copy_dir / "manifest.json").read_text())
+        expected = {"../escaped": weights[0], "a/b": approximate(weights[1], CFG("2:4"))}
+        for entry in manifest["layers"]:
+            handed = copy_dir / entry["weight"]
+            assert handed.parent == copy_dir
+            assert np.array_equal(load_matrix(handed), expected[entry["id"]])
+        assert sorted(p.name for p in copy_dir.iterdir()) == sorted(
+            ["manifest.json", *(entry["weight"] for entry in manifest["layers"])]
+        )
+
     def test_failure_modes(self, tmp_path):
         wl = two_layer_workload()
         cases = [
