@@ -21,8 +21,10 @@ from .approxmm import (
 from .decomp import (
     Decomposition,
     DropMetrics,
+    RankedMatrix,
     approximate,
     decompose,
+    decompose_all,
     drop_metrics,
     random_matrix,
     render_sweep_csv,

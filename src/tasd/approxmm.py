@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import map_ordered
-from .decomp import Decomposition, decompose, random_matrix
+from .decomp import Decomposition, RankedMatrix, decompose, random_matrix
 from .errors import DegenerateProduct, DimensionMismatch
 from .matrix import (
     DenseMatrix, NmCompressed, NmPattern, TasdConfig, _check_indices, as_matrix, config_of,
@@ -107,6 +107,8 @@ def error_sweep(
     A is uniform [0,1) masked to the requested sparsity; B is dense
     uniform [0,1). One (A, B) pair is drawn per (sparsity, seed) and
     shared by every config, so configs are compared on identical draws.
+    The residuals of A come from one rank pass per block size, one config
+    at a time.
     """
     rows, cols = dims
     sparsities = list(a_sparsities)
@@ -124,8 +126,8 @@ def error_sweep(
         )
         b = random_matrix(cols, cols, 1.0, "uniform", seed=(master_seed, 1, si, seed))
         denom = reference_norm(a, b)
-        errs = [residual_error(decompose(a, cfg).residual, b, denom) for cfg in configs]
-        return si, errs
+        ranked = RankedMatrix(a)
+        return si, [residual_error(ranked.residual(cfg), b, denom) for cfg in configs]
 
     by_cell: dict[tuple[int, int], list[float]] = {
         (si, ci): [] for si in range(len(sparsities)) for ci in range(len(configs))

@@ -75,6 +75,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _seconds(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text}")
+    return value
+
+
 def _positive(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -162,19 +169,19 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _make_oracle(spec: str):
+def _make_oracle(spec: str, timeout: float | None):
     if spec == "magnitude":
         return MagnitudeOracle()
     if spec == "error":
         return ErrorOracle()
-    return CommandOracle(spec)
+    return CommandOracle(spec, timeout)
 
 
 def cmd_search(args) -> int:
     wl = load_workload(args.workload)
     hw = _load_hw(args.hw)
     menu = hw.menu
-    oracle = _make_oracle(args.oracle)
+    oracle = _make_oracle(args.oracle, args.oracle_timeout)
     trace: list[dict] = []
 
     if args.mode == "network":
@@ -310,6 +317,14 @@ def build_parser() -> _Parser:
         "--oracle",
         default="magnitude",
         help="'magnitude', 'error', or an external command to run",
+    )
+    p.add_argument(
+        "--oracle-timeout",
+        type=_seconds,
+        default=None,
+        metavar="SECONDS",
+        help="kill an external oracle command (its whole process group) after "
+        "this long and fail with exit 2",
     )
     p.add_argument("--statistic", choices=("p99", "mean"), default="p99")
     p.add_argument(

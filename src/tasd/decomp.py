@@ -5,6 +5,13 @@ Each term takes, per m-element block, the largest-magnitude non-zeros of
 the *previous* residual (ties keep the lowest column). Entries are moved,
 never altered, so the terms plus the residual always rebuild the source
 bit for bit.
+
+Two consequences save work when one matrix meets many configs.
+``decompose_all`` extracts a series prefix that several configs share
+once. And a same-m series of total width sum_n keeps exactly the
+non-zeros whose magnitude rank in their block is below sum_n, so a
+``RankedMatrix`` gives every same-m residual from one stable sort per
+block size.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .matrix import (
     config_of,
     extract_term,
     freeze,
+    pad_blocks,
     render_csv,
 )
 
@@ -49,19 +57,80 @@ class DropMetrics:
 def decompose(mat, config) -> Decomposition:
     """Apply the series left to right, each term extracting from the last
     residual."""
-    cfg = config_of(config)
-    residual = as_matrix(mat)
-    terms = []
-    for pattern in cfg.terms:
-        term, residual = extract_term(residual, pattern)
-        terms.append(term)
-    return Decomposition(cfg, tuple(terms), residual)
+    return decompose_all(mat, [config])[0]
+
+
+def decompose_all(mat, configs) -> list[Decomposition]:
+    """``decompose(mat, c)`` for each config, extracting each series prefix
+    once: the configs are walked as a trie keyed by term prefix, so
+    ``2:4``, ``2:4+2:8`` and ``2:4+2:8+2:16`` take three extractions."""
+    # term prefix -> (its last term, the residual it leaves)
+    steps = {(): (None, as_matrix(mat))}
+    out = []
+    for cfg in map(config_of, configs):
+        prefixes = [cfg.terms[: i + 1] for i in range(len(cfg.terms))]
+        for prefix in prefixes:
+            if prefix not in steps:
+                steps[prefix] = extract_term(steps[prefix[:-1]][1], prefix[-1])
+        terms = tuple(steps[prefix][0] for prefix in prefixes)
+        out.append(Decomposition(cfg, terms, steps[cfg.terms][1]))
+    return out
 
 
 def approximate(mat, config) -> DenseMatrix:
     """Sum of the terms, bit for bit: ``mat - residual`` (their supports are disjoint)."""
     arr = as_matrix(mat)
     return freeze(arr - decompose(arr, config).residual)
+
+
+def block_ranks(mat, m: int) -> np.ndarray:
+    """Rank of each entry's magnitude within its m-block of its row: 0 for
+    the largest, ties to the lowest column, the order in which greedy
+    extraction takes entries. One stable sort; the dtype is the smallest
+    unsigned integer that holds m."""
+    arr = as_matrix(mat)
+    rows, cols = arr.shape
+    mags = np.abs(pad_blocks(arr, m).reshape(rows, -1, m))
+    order = np.argsort(-mags, axis=2, kind="stable")
+    ranks = np.empty(order.shape, dtype=np.min_scalar_type(m))
+    np.put_along_axis(ranks, order, np.arange(m, dtype=ranks.dtype), axis=2)
+    return ranks.reshape(rows, -1)[:, :cols]
+
+
+class RankedMatrix:
+    """A matrix and its magnitude ranks, one ``block_ranks`` pass per block
+    size, taken when a same-m config first needs it.
+
+    Extraction never takes an exact zero and moves entries in rank order,
+    so a same-m series keeps the non-zeros ranked below its sum_n. Each
+    residual or approximation is built on request and equals, byte for
+    byte, the one from ``decompose`` or ``approximate``, which mixed-m
+    configs still run.
+    """
+
+    def __init__(self, mat):
+        self.mat = as_matrix(mat)
+        self._ranks: dict[int, np.ndarray] = {}
+
+    def _kept(self, cfg: TasdConfig) -> np.ndarray:
+        m = cfg.terms[0].m
+        ranks = self._ranks.get(m)
+        if ranks is None:
+            ranks = self._ranks[m] = block_ranks(self.mat, m)
+        return (ranks < cfg.sum_n) & (self.mat != 0.0)
+
+    def residual(self, cfg: TasdConfig) -> DenseMatrix:
+        """``decompose(mat, cfg).residual``; kept entries become +0.0 and
+        every other entry, -0.0 included, stays."""
+        if not cfg.same_m:
+            return decompose(self.mat, cfg).residual
+        return freeze(np.where(self._kept(cfg), 0.0, self.mat))
+
+    def approximation(self, cfg: TasdConfig) -> DenseMatrix:
+        """``approximate(mat, cfg)``: the kept entries, +0.0 elsewhere."""
+        if not cfg.same_m:
+            return approximate(self.mat, cfg)
+        return freeze(np.where(self._kept(cfg), self.mat, 0.0))
 
 
 def drop_metrics(d: Decomposition) -> DropMetrics:
@@ -123,7 +192,8 @@ def sweep_synthetic(
     """Drop metrics over the (density, distribution, config, seed) grid.
 
     One matrix is drawn per (density, distribution, seed) cell and shared
-    by every config, so series can be compared on identical draws. The
+    by every config, so series can be compared on identical draws; a
+    series prefix that configs share is extracted once per draw. The
     cell seed is SeedSequence((master_seed, density_idx, dist_idx, seed)).
     Rows come back sorted by the grid key, independent of worker count.
     """
@@ -149,11 +219,9 @@ def sweep_synthetic(
             distributions[ki],
             seed=(master_seed, di, ki, seed),
         )
-        out = []
-        for ci, cfg in enumerate(configs):
-            metrics = drop_metrics(decompose(mat, cfg))
-            out.append((draw, ci, metrics))
-        return out
+        return [
+            (draw, ci, drop_metrics(d)) for ci, d in enumerate(decompose_all(mat, configs))
+        ]
 
     cells = {}
     for chunk in map_ordered(run_draw, draws, workers):

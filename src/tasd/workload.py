@@ -11,7 +11,10 @@ evaluation.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -21,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .approxmm import reference_norm, residual_error
-from .decomp import approximate, decompose, drop_metrics
+from .decomp import RankedMatrix, decompose, drop_metrics
 from .errors import (
     DegenerateProduct,
     DimensionMismatch,
@@ -171,26 +174,40 @@ def load_calibration(layer: LayerSpec) -> list[DenseMatrix]:
 # quality oracles
 
 
-class _ProxyOracle:
-    """Shared caches of the two built-in proxies, which score a dense
-    assignment as exactly baseline_quality.
-
-    A proxy is a mean of per-layer scores, so each (layer, config) pair is
-    scored once and kept as a float, next to each layer's calibration
-    samples and their reference norms ||W @ B||_F. The caches hold the
-    data of one workload: scoring another Workload object clears them.
+class _Oracle:
+    """Per-layer data an oracle keeps between evaluations: each weight as a
+    ``RankedMatrix`` (one rank pass per block size), and for the two
+    built-in proxies each layer's calibration samples with their reference
+    norms ||W @ B||_F and each (layer, config) score. The caches hold the
+    data of one workload: evaluating another Workload object clears them.
     """
 
     def __init__(self):
         self._workload: Workload | None = None
+        self._ranked: dict = {}
         self._calibration: dict = {}
         self._scores: dict = {}
 
-    def _layer_scores(self, workload: Workload, assignment: Assignment, dense: float):
+    def _follow(self, workload: Workload) -> None:
         if workload is not self._workload:
             self._workload = workload
-            self._calibration.clear()
-            self._scores.clear()
+            for cache in (self._ranked, self._calibration, self._scores):
+                cache.clear()
+
+    def _ranked_weight(self, layer: LayerSpec) -> RankedMatrix:
+        ranked = self._ranked.get(layer.layer_id)
+        if ranked is None:
+            ranked = self._ranked[layer.layer_id] = RankedMatrix(layer.weight)
+        return ranked
+
+
+class _ProxyOracle(_Oracle):
+    """The two built-in proxies, which score a dense assignment as exactly
+    baseline_quality. A proxy is a mean of per-layer scores, so each
+    (layer, config) pair is scored once and kept as a float."""
+
+    def _layer_scores(self, workload: Workload, assignment: Assignment, dense: float):
+        self._follow(workload)
         scores = []
         for ly in workload.layers:
             cfg = assignment.get(ly.layer_id)
@@ -228,7 +245,7 @@ class ErrorOracle(_ProxyOracle):
 
     def _score(self, layer: LayerSpec, cfg: TasdConfig) -> float:
         calibration = self._samples_and_norms(layer)
-        residual = decompose(layer.weight, cfg).residual
+        residual = self._ranked_weight(layer).residual(cfg)
         return float(np.mean([residual_error(residual, b, norm) for b, norm in calibration]))
 
     def _samples_and_norms(self, layer: LayerSpec):
@@ -245,45 +262,69 @@ class ErrorOracle(_ProxyOracle):
         return cached
 
 
-class CommandOracle:
+class CommandOracle(_Oracle):
     """Runs ``command`` (an argv list or one executable path) with the path
     of a handoff manifest appended, and returns the number it prints. It
-    always scores the whole network."""
+    always scores the whole network.
 
-    def __init__(self, command):
+    The command runs in a session of its own. With ``timeout`` (seconds)
+    set, expiry kills its whole process group and raises ``OracleFailure``.
+    """
+
+    def __init__(self, command, timeout: float | None = None):
         if not command:
             raise ValueError("CommandOracle needs a command")
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"oracle timeout must be a positive number of seconds, got {timeout}")
+        super().__init__()
         self.command = command
+        self.timeout = timeout
 
     def evaluate(self, workload: Workload, assignment: Assignment) -> float:
+        self._follow(workload)
         with tempfile.TemporaryDirectory(prefix="tasd-oracle-") as tmp:
-            manifest = _write_handoff(Path(tmp), workload, assignment)
+            manifest = _write_handoff(
+                Path(tmp), workload, assignment,
+                lambda ly, cfg: self._ranked_weight(ly).approximation(cfg),
+            )
             command = self.command
             argv = [*command] if isinstance(command, (list, tuple)) else [str(command)]
             argv.append(str(manifest))
             try:
-                proc = subprocess.run(argv, capture_output=True, text=True)
+                proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                        text=True, start_new_session=True)
             except OSError as exc:
                 raise OracleFailure(f"cannot run oracle command: {exc}") from exc
+            try:
+                stdout, stderr = proc.communicate(timeout=self.timeout)
+            except subprocess.TimeoutExpired:
+                raise OracleFailure(
+                    f"oracle command ran past its {self.timeout:g} s timeout"
+                ) from None
+            finally:
+                if proc.returncode is None:  # timed out or interrupted
+                    with contextlib.suppress(ProcessLookupError):
+                        os.killpg(proc.pid, signal.SIGKILL)
+                    proc.communicate()
             if proc.returncode != 0:
                 raise OracleFailure(
-                    f"oracle command exited {proc.returncode}: {proc.stderr.strip()}"
+                    f"oracle command exited {proc.returncode}: {stderr.strip()}"
                 )
             try:
-                value = float(proc.stdout.strip())
+                value = float(stdout.strip())
             except ValueError:
                 raise OracleFailure(
-                    f"oracle printed {proc.stdout.strip()!r}, expected one number"
+                    f"oracle printed {stdout.strip()!r}, expected one number"
                 ) from None
             if not math.isfinite(value):
                 raise OracleFailure(f"oracle returned non-finite {value!r}")
             return value
 
 
-def _write_handoff(tmp: Path, workload: Workload, assignment: Assignment) -> Path:
-    """Per-layer approximated dense weights plus a JSON index. Weight files
-    are named by layer position, so no layer id can place one outside
-    ``tmp``."""
+def _write_handoff(tmp: Path, workload: Workload, assignment: Assignment, approximation) -> Path:
+    """Per-layer approximated dense weights, ``approximation(layer, cfg)``,
+    plus a JSON index. Weight files are named by layer position, so no
+    layer id can place one outside ``tmp``."""
     layers = []
     for li, ly in enumerate(workload.layers):
         cfg = assignment.get(ly.layer_id)
@@ -299,7 +340,7 @@ def _write_handoff(tmp: Path, workload: Workload, assignment: Assignment) -> Pat
         }
         if ly.weight is not None:
             filename = f"layer_{li:03d}.tasd1"
-            mat = ly.weight if cfg is None or cfg.is_dense else approximate(ly.weight, cfg)
+            mat = ly.weight if cfg is None or cfg.is_dense else approximation(ly, cfg)
             save_matrix(mat, tmp / filename)
             entry["weight"] = filename
         layers.append(entry)

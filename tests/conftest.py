@@ -8,6 +8,9 @@ agreement between the two is meaningful evidence of correctness.
 from __future__ import annotations
 
 import itertools
+import os
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -129,3 +132,54 @@ def max_subset_magnitude(values, k: int) -> float:
 
 def nnz(arr) -> int:
     return int(np.count_nonzero(np.asarray(arr)))
+
+
+def record_calls(monkeypatch, owner, name) -> list[tuple]:
+    """Wrap ``owner.name`` for the rest of the test; the returned list gets
+    the positional arguments of each call, in call order."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# external oracle processes
+
+# starts a grandchild in the oracle's process group, records its pid,
+# then outlives any timeout a test sets. The grandchild does not hold the
+# oracle's output pipes, so only a kill of the whole group ends it soon
+SLOW_SCRIPT = textwrap.dedent(
+    """\
+    import subprocess, sys, time
+    child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"],
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    with open({pid_file!r}, "w") as fh:
+        fh.write(str(child.pid))
+    time.sleep(60)
+    """
+)
+
+
+def assert_gone(pid, wait=10.0):
+    """Fail unless process ``pid`` has exited (a zombie awaiting its
+    reaper counts as exited) within ``wait`` seconds."""
+    deadline = time.monotonic() + wait
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return
+        except OSError:
+            pass
+        time.sleep(0.05)
+    raise AssertionError(f"process {pid} is still running")

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import tasd._kernels
+import tasd.decomp
 from tasd import (
     CorruptIndices,
     Decomposition,
@@ -31,7 +33,7 @@ from tasd import (
 )
 from tasd.approxmm import ERROR_CSV_HEADER, default_error_configs, render_error_csv
 
-from conftest import nnz, pool_configs, py_matmul
+from conftest import nnz, pool_configs, py_matmul, record_calls
 
 entries = st.floats(-100, 100, allow_nan=False, allow_infinity=False, width=64)
 
@@ -327,6 +329,13 @@ class TestErrorSweep:
         assert cells[1] == "2:4"
         assert float(cells[3]) == table[0]["mean_rel_error"]
         assert cells[5] == "2"
+
+    def test_default_grid_ranks_twice_per_draw_and_never_extracts(self, monkeypatch):
+        extractions = record_calls(monkeypatch, tasd._kernels, "extract_term_blocks")
+        passes = record_calls(monkeypatch, tasd.decomp, "block_ranks")
+        error_sweep((16, 24), (0.2, 0.8), seeds=range(2), workers=1)
+        assert extractions == []
+        assert [m for _, m in passes] == [4, 8] * (2 * 2)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_golden_csv_bytes(self, workers):

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import SLOW_SCRIPT, assert_gone
 from tasd import (
     TasdConfig,
     decompose,
@@ -274,6 +275,7 @@ class TestSearch:
             ("network", "--threshold=inf"),
             ("activation", "--alpha=nan"),
             ("activation", "--rho=-inf"),
+            ("greedy", "--oracle-timeout=inf"),
         ],
     )
     def test_non_finite_numbers_are_usage_errors(self, workspace, tmp_path, mode, option):
@@ -283,6 +285,27 @@ class TestSearch:
         assert proc.returncode == 1
         assert "finite" in proc.stderr
         assert not out.exists()
+
+
+    def test_oracle_timeout_is_data_error(self, workspace, tmp_path):
+        pid_file = tmp_path / "child.pid"
+        script = tmp_path / "slow_oracle"
+        script.write_text(f"#!{sys.executable}\n" + SLOW_SCRIPT.format(pid_file=str(pid_file)))
+        script.chmod(0o755)
+        out = tmp_path / "a.json"
+        proc = run_cli("search", "--workload", workspace / "workload.json", "--hw", "vegeta-m8",
+                       "--mode", "greedy", "--oracle", script, "--oracle-timeout", "2",
+                       "--out", out)
+        assert proc.returncode == 2
+        assert "timeout" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+        assert_gone(int(pid_file.read_text()))
+
+    def test_oracle_timeout_must_be_positive(self, workspace, tmp_path):
+        proc = run_cli("search", "--workload", workspace / "workload.json", "--hw", "vegeta-m8",
+                       "--mode", "greedy", "--oracle-timeout", "0", "--out", tmp_path / "a.json")
+        assert proc.returncode == 1
+        assert "positive" in proc.stderr
 
 
 class TestSimulate:

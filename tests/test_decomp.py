@@ -1,19 +1,25 @@
 """Greedy series decomposition, its loss metrics, and the synthetic
 drop-rate sweep."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import tasd._kernels
+import tasd.decomp
 from tasd import (
     NmPattern,
     NonFiniteEntry,
+    RankedMatrix,
     TasdConfig,
     approximate,
     decode,
     decompose,
+    decompose_all,
     drop_metrics,
     extract_term,
     is_compliant,
@@ -21,6 +27,7 @@ from tasd import (
     sparsity,
     sweep_synthetic,
 )
+from tasd.cli import APPENDIX_CONFIGS
 from tasd.decomp import SWEEP_CSV_HEADER, render_sweep_csv
 
 from conftest import (
@@ -29,6 +36,7 @@ from conftest import (
     nnz,
     pool_configs,
     py_extract,
+    record_calls,
 )
 
 finite_entries = st.one_of(
@@ -48,6 +56,49 @@ def matrices(max_side=16):
 small_patterns = st.integers(1, 8).flatmap(
     lambda m: st.integers(1, m).map(lambda n: NmPattern(n, m))
 )
+
+
+@st.composite
+def tied_matrices(draw):
+    """Up to 6 x 40 (partial blocks for m = 8 and 16), density 0 to 1, few
+    distinct magnitudes so blocks hold ties, and both signs of zero."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        mags = rng.choice([0.5, 1.0, 2.0], (rows, cols))
+    else:
+        mags = rng.random((rows, cols)) + 0.25
+    values = mags * rng.choice([-1.0, 1.0], (rows, cols))
+    zeros = rng.choice([-0.0, 0.0], (rows, cols))
+    return np.where(rng.random((rows, cols)) < density, values, zeros)
+
+
+@st.composite
+def same_m_configs(draw):
+    """A same-m series with m in {4, 8, 16}, 1 to 3 terms, sum_n up to m."""
+    m = draw(st.sampled_from([4, 8, 16]))
+    total = draw(st.integers(1, m))
+    cuts = draw(st.sets(st.integers(1, total - 1), max_size=2)) if total > 1 else set()
+    bounds = [0, *sorted(cuts), total]
+    return TasdConfig(tuple(NmPattern(b - a, m) for a, b in zip(bounds, bounds[1:])))
+
+
+# mixed-m chains and every prefix of them, so prefixes are shared
+CHAINS = ["2:4", "2:4+2:8", "2:4+2:8+2:16", "1:2", "1:2+1:4", "1:2+1:4+1:8"]
+mixed_lists = st.lists(
+    st.one_of(
+        same_m_configs(),
+        st.sampled_from(pool_configs() + [TasdConfig.parse(c) for c in CHAINS]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def patterns(calls) -> list[str]:
+    """The N:M pattern of each recorded ``extract_term_blocks`` call."""
+    return [f"{n}:{m}" for *_, n, m in calls]
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +270,51 @@ class TestApproximate:
         assert np.array_equal(approximate(mat, "2:4+2:8"), mat - d.residual)
 
 
+class TestDecomposeAll:
+    @given(tied_matrices(), mixed_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equals_each_decompose(self, mat, configs):
+        for config, shared in zip(configs, decompose_all(mat, configs), strict=True):
+            alone = decompose(mat, config)
+            assert shared.config == alone.config
+            assert len(shared.terms) == len(alone.terms)
+            for a, b in zip(shared.terms, alone.terms):
+                assert a.pattern == b.pattern
+                assert a.values.tobytes() == b.values.tobytes()
+                assert a.indices.tobytes() == b.indices.tobytes()
+            assert shared.residual.tobytes() == alone.residual.tobytes()
+
+    def test_shared_prefixes_are_extracted_once(self, monkeypatch):
+        calls = record_calls(monkeypatch, tasd._kernels, "extract_term_blocks")
+        mat = random_matrix(8, 40, 0.7, "normal", seed=4)
+        decompose_all(mat, ["2:4+2:8+2:16", "2:4", "2:4+2:8", "2:4+1:8", "4:8"])
+        assert patterns(calls) == ["2:4", "2:8", "2:16", "1:8", "4:8"]
+
+
+class TestRankedMatrix:
+    @given(tied_matrices(), mixed_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equals_decompose(self, mat, configs):
+        ranked = RankedMatrix(mat)
+        for config in configs:
+            assert ranked.residual(config).tobytes() == decompose(mat, config).residual.tobytes()
+            assert ranked.approximation(config).tobytes() == approximate(mat, config).tobytes()
+
+    def test_signed_zero_stays_in_the_residual(self):
+        mat = np.array([[-0.0, 3.0, 0.0, -2.0, 1.0]])
+        residual = RankedMatrix(mat).residual(TasdConfig.parse("3:4"))
+        assert residual.tobytes() == np.array([[-0.0, 0.0, 0.0, 0.0, 0.0]]).tobytes()
+
+    def test_one_rank_pass_per_block_size_and_no_extraction(self, monkeypatch):
+        passes = record_calls(monkeypatch, tasd.decomp, "block_ranks")
+        extractions = record_calls(monkeypatch, tasd._kernels, "extract_term_blocks")
+        ranked = RankedMatrix(random_matrix(8, 24, 0.7, "normal", seed=6))
+        for text in ["1:8", "4:8+2:8", "2:4", "8:8", "3:4+1:4", "2:8"]:
+            ranked.residual(TasdConfig.parse(text))
+        assert [m for _, m in passes] == [8, 4]
+        assert extractions == []
+
+
 class TestDropMetrics:
     def test_half_dropped(self):
         metrics = drop_metrics(decompose(np.array([[4.0, 3.0, 2.0, 1.0]]), "2:4"))
@@ -344,6 +440,22 @@ class TestSweepSynthetic:
         as_array = sweep_synthetic(grid[0], np.array([0.25, 0.5]), *grid[1:], seeds=[0])
         as_list = sweep_synthetic(grid[0], [0.25, 0.5], *grid[1:], seeds=[0])
         assert render_sweep_csv(as_array) == render_sweep_csv(as_list)
+
+    def test_appendix_chain_extracts_three_terms_per_draw(self, monkeypatch):
+        calls = record_calls(monkeypatch, tasd._kernels, "extract_term_blocks")
+        sweep_synthetic((16, 40), (0.2, 0.9), ("uniform", "normal"), APPENDIX_CONFIGS,
+                        seeds=range(2), workers=1)
+        assert patterns(calls) == ["2:4", "2:8", "2:16"] * (2 * 2 * 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_csv_bytes(self, workers):
+        # recorded before configs shared their series prefixes; 40 columns
+        # leave a partial block for 2:8 and 2:16
+        table = sweep_synthetic((24, 40), (0.1, 0.5, 1.0), ("uniform", "normal"),
+                                APPENDIX_CONFIGS, seeds=range(2), master_seed=3,
+                                workers=workers)
+        digest = hashlib.sha256(render_sweep_csv(table).encode()).hexdigest()
+        assert digest == "e8b1042c5305110776b6c5d01b980839e549ee161e5f728cc3a1da1101c4fb9a"
 
     def test_csv_shape(self):
         table = sweep_synthetic(

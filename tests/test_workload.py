@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SLOW_SCRIPT, assert_gone, record_calls
 from tasd import (
     CommandOracle,
     DimensionMismatch,
@@ -393,6 +394,16 @@ SNOOP_SCRIPT = textwrap.dedent(
 )
 
 
+COPY_EACH_SCRIPT = textwrap.dedent(
+    """\
+    import os, shutil, sys
+    root = os.environ["HANDOFF_COPY_ROOT"]
+    os.makedirs(root, exist_ok=True)
+    shutil.copytree(os.path.dirname(sys.argv[1]), os.path.join(root, "%03d" % len(os.listdir(root))))
+    print("1.0" if len(os.listdir(root)) % 2 else "0.0")
+    """
+)
+
 class TestExternalCommandOracle:
     def test_returns_printed_float(self, tmp_path):
         script = tmp_path / "oracle.py"
@@ -466,6 +477,60 @@ class TestExternalCommandOracle:
             ["manifest.json", *(entry["weight"] for entry in manifest["layers"])]
         )
 
+    def test_greedy_handoffs_come_from_one_rank_pass_per_layer(self, tmp_path, monkeypatch):
+        import tasd._kernels
+        import tasd.decomp
+        from tasd import approximate, layer_wise_greedy, vegeta_m8
+
+        copy_root = tmp_path / "copies"
+        monkeypatch.setenv("HANDOFF_COPY_ROOT", str(copy_root))
+        script = tmp_path / "snoop.py"
+        script.write_text(COPY_EACH_SCRIPT)
+        # negated draws hold -0.0 where the weight is empty
+        weights = [random_matrix(16, 16, d, "normal", seed=(5, i)) * (-1.0) ** i
+                   for i, d in enumerate((0.3, 0.7, 1.0))]
+        wl = Workload("w", tuple(LayerSpec(f"L{i}", 16, 4, 16, weight=w)
+                                 for i, w in enumerate(weights)), baseline_quality=1.0)
+
+        passes = record_calls(monkeypatch, tasd.decomp, "block_ranks")
+        extractions = record_calls(monkeypatch, tasd._kernels, "extract_term_blocks")
+        oracle = CommandOracle([sys.executable, str(script)])
+        trace = []
+        layer_wise_greedy(wl, vegeta_m8().menu, oracle, threshold=0.5,
+                          skip_and_continue=True, trace=trace)
+        monkeypatch.undo()
+        assert (len(passes), len(extractions)) == (3, 0)
+        assert len(trace) == 18 and any(t["applied"] for t in trace)
+
+        handoffs = sorted(copy_root.iterdir())
+        assert len(handoffs) == 18
+        checked = 0
+        for handoff in handoffs:
+            manifest = json.loads((handoff / "manifest.json").read_text())
+            for li, entry in enumerate(manifest["layers"]):
+                handed = load_matrix(handoff / entry["weight"])
+                if entry["config"] == "dense":
+                    expected = weights[li]
+                else:
+                    expected = approximate(weights[li], CFG(entry["config"]))
+                    checked += 1
+                assert handed.tobytes() == expected.tobytes()
+        assert checked > 18
+
+    def test_timeout_kills_the_process_group(self, tmp_path):
+        pid_file = tmp_path / "child.pid"
+        script = tmp_path / "slow.py"
+        script.write_text(SLOW_SCRIPT.format(pid_file=str(pid_file)))
+        oracle = CommandOracle([sys.executable, str(script)], timeout=2.0)
+        with pytest.raises(OracleFailure, match="timeout"):
+            oracle.evaluate(two_layer_workload(), {})
+        assert_gone(int(pid_file.read_text()))
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        with pytest.raises(ValueError):
+            CommandOracle("oracle", timeout=timeout)
+
     def test_failure_modes(self, tmp_path):
         wl = two_layer_workload()
         cases = [
@@ -528,10 +593,11 @@ class TestOracleWork:
     @pytest.mark.parametrize("oracle", ["error", "magnitude"])
     def test_each_pair_scored_once(self, workspace, monkeypatch, oracle):
         import tasd._kernels
+        import tasd.decomp
         import tasd.workload
         from tasd.cli import main
 
-        work = {"decompose": 0, "matmul": 0}
+        work = {"decompose": 0, "matmul": 0, "rank": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -545,6 +611,9 @@ class TestOracleWork:
         monkeypatch.setattr(
             tasd._kernels, "matmul_into", counted("matmul", tasd._kernels.matmul_into)
         )
+        monkeypatch.setattr(
+            tasd.decomp, "block_ranks", counted("rank", tasd.decomp.block_ranks)
+        )
         log = workspace.parent / "greedy.jsonl"
         assert main(["search", "--workload", str(workspace), "--hw", "vegeta-m8",
                      "--mode", "greedy", "--oracle", oracle, "--threshold", "0.97",
@@ -556,10 +625,12 @@ class TestOracleWork:
         pairs = {(s["layer"], s["config"]) for s in steps}
         assert len(pairs) == len(steps) == self.LAYERS * 6  # vegeta-m8: 6 sparse configs
         assert any(s["applied"] for s in steps) and not all(s["applied"] for s in steps)
-        assert work["decompose"] == len(pairs)
         if oracle == "error":
+            # one rank pass per layer gives every residual
+            assert (work["decompose"], work["rank"]) == (0, self.LAYERS)
             assert work["matmul"] <= (len(pairs) + self.LAYERS) * self.SAMPLES
         else:
+            assert (work["decompose"], work["rank"]) == (len(pairs), 0)
             assert work["matmul"] == 0
 
         wl = load_workload(workspace)
