@@ -39,32 +39,27 @@ def spmm_term(term: NmCompressed, b):
     Only valid slots multiply, so the MAC count is nnz(term) * b.cols.
     Corrupt indices raise ``CorruptIndices``, as in ``decode``.
     """
-    _check_indices(term)
-    b = as_matrix(b)
-    if term.cols != b.shape[0]:
-        raise DimensionMismatch(
-            f"term has {term.cols} cols but b has {b.shape[0]} rows"
-        )
-    out = np.zeros((term.rows, b.shape[1]))
-    _kernels.spmm_into(term.values, term.indices, term.pattern.m, b, out)
-    return freeze(out), term.nnz * b.shape[1]
+    return _series_product((term,), term.rows, term.cols, b)
 
 
 def tasd_matmul(d: Decomposition, b):
     """Distribute the product over the series: sum of term @ b, in order."""
-    b = as_matrix(b)
-    rows, cols = d.residual.shape
-    if cols != b.shape[0]:
-        raise DimensionMismatch(
-            f"decomposition has {cols} cols but b has {b.shape[0]} rows"
-        )
-    out = np.zeros((rows, b.shape[1]))
-    macs = 0
-    for term in d.terms:
+    return _series_product(d.terms, *d.residual.shape, b)
+
+
+def _series_product(terms, rows: int, cols: int, b):
+    """Sum of term @ b over the (rows, cols) terms, accumulated in order
+    into one output; returns (product, MACs). Every term's indices are
+    checked before b."""
+    for term in terms:
         _check_indices(term)
+    b = as_matrix(b)
+    if cols != b.shape[0]:
+        raise DimensionMismatch(f"series has {cols} cols but b has {b.shape[0]} rows")
+    out = np.zeros((rows, b.shape[1]))
+    for term in terms:
         _kernels.spmm_into(term.values, term.indices, term.pattern.m, b, out)
-        macs += term.nnz * b.shape[1]
-    return freeze(out), macs
+    return freeze(out), sum(term.nnz for term in terms) * b.shape[1]
 
 
 def reference_norm(a, b) -> float:
@@ -127,19 +122,13 @@ def error_sweep(
         b = random_matrix(cols, cols, 1.0, "uniform", seed=(master_seed, 1, si, seed))
         denom = reference_norm(a, b)
         ranked = RankedMatrix(a)
-        return si, [residual_error(ranked.residual(cfg), b, denom) for cfg in configs]
+        return [residual_error(ranked.residual(cfg), b, denom) for cfg in configs]
 
-    by_cell: dict[tuple[int, int], list[float]] = {
-        (si, ci): [] for si in range(len(sparsities)) for ci in range(len(configs))
-    }
-    for si, errs in map_ordered(run_draw, draws, workers):
-        for ci, err in enumerate(errs):
-            by_cell[(si, ci)].append(err)
-
+    results = dict(zip(draws, map_ordered(run_draw, draws, workers)))
     table = []
     for si, sp in enumerate(sparsities):
         for ci, cfg in enumerate(configs):
-            errs = np.asarray(by_cell[(si, ci)])
+            errs = np.asarray([results[(si, seed)][ci] for seed in seeds])
             table.append(
                 {
                     "a_sparsity": sp,

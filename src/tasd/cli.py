@@ -23,7 +23,7 @@ from .decomp import (
     render_sweep_csv,
     sweep_synthetic,
 )
-from .errors import TasdError
+from .errors import DegenerateProduct, TasdError
 from .hwmodel import (
     BUILTIN_SPECS,
     HwSpec,
@@ -241,10 +241,12 @@ def cmd_simulate(args) -> int:
     wl = load_workload(args.workload)
     hw = _load_hw(args.hw)
     assignment = load_assignment(args.assignment) if args.assignment else {}
+    dense_report, _ = workload_cost(hw, wl, {})
+    if dense_report.edp == 0.0:
+        raise DegenerateProduct("the dense workload costs zero EDP, so no EDP ratio exists")
     report, rows = workload_cost(hw, wl, assignment)
     rows.append(cost_row("total", "-", report))
     _write_text(args.out, render_cost_csv(rows))
-    dense_report, _ = workload_cost(hw, wl, {})
     ratio = report.edp / dense_report.edp
     print(f"edp_vs_dense={ratio!r}")
     log.info(

@@ -104,33 +104,30 @@ class RankedMatrix:
     Extraction never takes an exact zero and moves entries in rank order,
     so a same-m series keeps the non-zeros ranked below its sum_n. Each
     residual or approximation is built on request and equals, byte for
-    byte, the one from ``decompose`` or ``approximate``, which mixed-m
-    configs still run.
+    byte, the one from ``decompose`` or ``approximate``; a mixed-m
+    residual still comes from ``decompose``.
     """
 
     def __init__(self, mat):
         self.mat = as_matrix(mat)
         self._ranks: dict[int, np.ndarray] = {}
 
-    def _kept(self, cfg: TasdConfig) -> np.ndarray:
-        m = cfg.terms[0].m
-        ranks = self._ranks.get(m)
-        if ranks is None:
-            ranks = self._ranks[m] = block_ranks(self.mat, m)
-        return (ranks < cfg.sum_n) & (self.mat != 0.0)
-
     def residual(self, cfg: TasdConfig) -> DenseMatrix:
         """``decompose(mat, cfg).residual``; kept entries become +0.0 and
         every other entry, -0.0 included, stays."""
         if not cfg.same_m:
             return decompose(self.mat, cfg).residual
-        return freeze(np.where(self._kept(cfg), 0.0, self.mat))
+        m = cfg.terms[0].m
+        ranks = self._ranks.get(m)
+        if ranks is None:
+            ranks = self._ranks[m] = block_ranks(self.mat, m)
+        kept = (ranks < cfg.sum_n) & (self.mat != 0.0)
+        return freeze(np.where(kept, 0.0, self.mat))
 
     def approximation(self, cfg: TasdConfig) -> DenseMatrix:
-        """``approximate(mat, cfg)``: the kept entries, +0.0 elsewhere."""
-        if not cfg.same_m:
-            return approximate(self.mat, cfg)
-        return freeze(np.where(self._kept(cfg), self.mat, 0.0))
+        """``approximate(mat, cfg)``, by the same rule: ``mat - residual``
+        keeps each kept entry and gives +0.0 everywhere else."""
+        return freeze(self.mat - self.residual(cfg))
 
 
 def drop_metrics(d: Decomposition) -> DropMetrics:
@@ -219,21 +216,15 @@ def sweep_synthetic(
             distributions[ki],
             seed=(master_seed, di, ki, seed),
         )
-        return [
-            (draw, ci, drop_metrics(d)) for ci, d in enumerate(decompose_all(mat, configs))
-        ]
+        return [drop_metrics(d) for d in decompose_all(mat, configs)]
 
-    cells = {}
-    for chunk in map_ordered(run_draw, draws, workers):
-        for (di, ki, seed), ci, metrics in chunk:
-            cells[(di, ki, ci, seed)] = metrics
-
+    results = dict(zip(draws, map_ordered(run_draw, draws, workers)))
     table = []
     for di, density in enumerate(densities):
         for ki, dist in enumerate(distributions):
             for ci, cfg in enumerate(configs):
                 for seed in seeds:
-                    metrics = cells[(di, ki, ci, seed)]
+                    metrics = results[(di, ki, seed)][ci]
                     table.append(
                         {
                             "density": density,

@@ -30,7 +30,8 @@ class BadHeader(TasdError):
 
 
 class DegenerateProduct(TasdError):
-    """Reference product has zero Frobenius norm; relative error undefined."""
+    """A ratio's reference is zero: a reference product with zero Frobenius
+    norm (relative error undefined) or a dense EDP of zero."""
 
 
 class OracleFailure(TasdError):

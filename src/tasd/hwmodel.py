@@ -328,24 +328,33 @@ def workload_cost(
     rows = []
     cycles = stalls = macs = 0
     totals = dict(_ZERO_BREAKDOWN)
-    for ly in workload.layers:
-        cfg = assignment.get(ly.layer_id)
-        report = gemm_cost(
-            hw,
-            ly.gemm_m,
-            ly.gemm_n,
-            ly.gemm_k,
-            cfg,
-            input_sparsity_gating=gating_stats.get(ly.layer_id),
-        )
-        cycles += report.cycles
-        stalls += report.stall_cycles
-        macs += report.mac_count
-        for key in totals:
-            totals[key] += report.breakdown[key]
-        config = cfg.canonical() if cfg is not None else "dense"
-        rows.append(cost_row(ly.layer_id, config, report))
-    return _report(cycles, stalls, macs, totals), rows
+    try:
+        for ly in workload.layers:
+            cfg = assignment.get(ly.layer_id)
+            report = gemm_cost(
+                hw,
+                ly.gemm_m,
+                ly.gemm_n,
+                ly.gemm_k,
+                cfg,
+                input_sparsity_gating=gating_stats.get(ly.layer_id),
+            )
+            cycles += report.cycles
+            stalls += report.stall_cycles
+            macs += report.mac_count
+            for key in totals:
+                totals[key] += report.breakdown[key]
+            config = cfg.canonical() if cfg is not None else "dense"
+            rows.append(cost_row(ly.layer_id, config, report))
+        total = _report(cycles, stalls, macs, totals)
+        # each layer's counts and energies are at most the totals, and the
+        # EDP bounds the cycles and the energy
+        finite = math.isfinite(total.edp) and math.isfinite(total.mac_count)
+    except OverflowError:  # a count too large to convert to a float
+        finite = False
+    if not finite:
+        raise SchemaError("the workload's cost overflows a float: GEMM dims or energies too large")
+    return total, rows
 
 
 def cost_row(layer: str, config: str, report: CostReport) -> dict:

@@ -51,6 +51,8 @@ class LayerSpec:
     calibration_dir: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.layer_id, str):
+            raise SchemaError(f"layer id {self.layer_id!r} must be a string")
         if not all(_is_int(d) and d > 0 for d in (self.gemm_m, self.gemm_n, self.gemm_k)):
             raise SchemaError(f"layer {self.layer_id!r} needs positive integer GEMM dims")
         if not (isinstance(self.weights_sparse, bool) and isinstance(self.acts_sparse, bool)):
@@ -71,6 +73,8 @@ class Workload:
     baseline_quality: float
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise SchemaError(f"workload name {self.name!r} must be a string")
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise SchemaError("workload has no layers")
@@ -112,7 +116,7 @@ def load_workload(manifest_path) -> Workload:
     if not isinstance(obj, dict):
         raise SchemaError(f"{manifest_path}: manifest must be a JSON object")
     try:
-        name = str(obj["name"])
+        name = obj["name"]
         baseline = obj["baseline_quality"]
         raw_layers = obj["layers"]
     except KeyError as exc:
@@ -128,15 +132,16 @@ def load_workload(manifest_path) -> Workload:
         if not isinstance(entry, dict):
             raise SchemaError(f"{manifest_path}: each layer must be an object")
         try:
-            layer_id = str(entry["id"])
+            layer_id = entry["id"]
             dims = (entry["m"], entry["n"], entry["k"])
         except KeyError as exc:
             raise SchemaError(f"{manifest_path}: bad layer entry: {exc}") from exc
-        weight = None
+        # null stands for absent, as in the handoff manifest of CommandOracle
         weight_path = entry.get("weight")
-        if weight_path is not None:
-            weight = load_matrix(base_dir / weight_path)
         calibration_dir = entry.get("calibration_dir")
+        if not all(p is None or isinstance(p, str) for p in (weight_path, calibration_dir)):
+            raise SchemaError(f"{manifest_path}: weight and calibration_dir must be path strings")
+        weight = None if weight_path is None else load_matrix(base_dir / weight_path)
         if calibration_dir is not None:
             calibration_dir = str(base_dir / calibration_dir)
         layers.append(
@@ -175,30 +180,31 @@ def load_calibration(layer: LayerSpec) -> list[DenseMatrix]:
 
 
 class _Oracle:
-    """Per-layer data an oracle keeps between evaluations: each weight as a
-    ``RankedMatrix`` (one rank pass per block size), and for the two
-    built-in proxies each layer's calibration samples with their reference
-    norms ||W @ B||_F and each (layer, config) score. The caches hold the
-    data of one workload: evaluating another Workload object clears them.
+    """Per-layer data an oracle keeps between evaluations, in one cache:
+    each weight as a ``RankedMatrix`` (one rank pass per block size), and
+    for the two built-in proxies each layer's calibration samples with
+    their reference norms ||W @ B||_F and each (layer, config) score. The
+    cache holds the data of one workload: evaluating another Workload
+    object starts a fresh one.
     """
 
     def __init__(self):
         self._workload: Workload | None = None
-        self._ranked: dict = {}
-        self._calibration: dict = {}
-        self._scores: dict = {}
+        self._cache: dict = {}
 
     def _follow(self, workload: Workload) -> None:
         if workload is not self._workload:
             self._workload = workload
-            for cache in (self._ranked, self._calibration, self._scores):
-                cache.clear()
+            self._cache = {}
+
+    def _cached(self, key, make):
+        """The value kept under ``key``, made by ``make()`` on first use."""
+        if key not in self._cache:
+            self._cache[key] = make()
+        return self._cache[key]
 
     def _ranked_weight(self, layer: LayerSpec) -> RankedMatrix:
-        ranked = self._ranked.get(layer.layer_id)
-        if ranked is None:
-            ranked = self._ranked[layer.layer_id] = RankedMatrix(layer.weight)
-        return ranked
+        return self._cached(("ranked", layer.layer_id), lambda: RankedMatrix(layer.weight))
 
 
 class _ProxyOracle(_Oracle):
@@ -214,13 +220,10 @@ class _ProxyOracle(_Oracle):
             if cfg is None or cfg.is_dense:
                 scores.append(dense)
                 continue
-            key = (ly.layer_id, cfg.canonical())
-            score = self._scores.get(key)
-            if score is None:
-                if ly.weight is None:
-                    raise OracleFailure(f"layer {ly.layer_id!r} has no weight to score")
-                score = self._scores[key] = self._score(ly, cfg)
-            scores.append(score)
+            if ly.weight is None:
+                raise OracleFailure(f"layer {ly.layer_id!r} has no weight to score")
+            key = ("score", ly.layer_id, cfg.canonical())
+            scores.append(self._cached(key, lambda: self._score(ly, cfg)))
         return scores
 
 
@@ -250,16 +253,15 @@ class ErrorOracle(_ProxyOracle):
 
     def _samples_and_norms(self, layer: LayerSpec):
         """(sample, ||W @ sample||_F) pairs of the layer, loaded once."""
-        cached = self._calibration.get(layer.layer_id)
-        if cached is not None:
-            return cached
-        samples = load_calibration(layer)
-        try:
-            cached = [(b, reference_norm(layer.weight, b)) for b in samples]
-        except DegenerateProduct as exc:
-            raise OracleFailure(f"layer {layer.layer_id!r}: {exc}") from exc
-        self._calibration[layer.layer_id] = cached
-        return cached
+
+        def load():
+            samples = load_calibration(layer)
+            try:
+                return [(b, reference_norm(layer.weight, b)) for b in samples]
+            except DegenerateProduct as exc:
+                raise OracleFailure(f"layer {layer.layer_id!r}: {exc}") from exc
+
+        return self._cached(("calibration", layer.layer_id), load)
 
 
 class CommandOracle(_Oracle):
@@ -283,10 +285,7 @@ class CommandOracle(_Oracle):
     def evaluate(self, workload: Workload, assignment: Assignment) -> float:
         self._follow(workload)
         with tempfile.TemporaryDirectory(prefix="tasd-oracle-") as tmp:
-            manifest = _write_handoff(
-                Path(tmp), workload, assignment,
-                lambda ly, cfg: self._ranked_weight(ly).approximation(cfg),
-            )
+            manifest = _write_handoff(Path(tmp), workload, assignment, self._ranked_weight)
             command = self.command
             argv = [*command] if isinstance(command, (list, tuple)) else [str(command)]
             argv.append(str(manifest))
@@ -321,8 +320,8 @@ class CommandOracle(_Oracle):
             return value
 
 
-def _write_handoff(tmp: Path, workload: Workload, assignment: Assignment, approximation) -> Path:
-    """Per-layer approximated dense weights, ``approximation(layer, cfg)``,
+def _write_handoff(tmp: Path, workload: Workload, assignment: Assignment, ranked_weight) -> Path:
+    """Per-layer approximated dense weights, from ``ranked_weight(layer)``,
     plus a JSON index. Weight files are named by layer position, so no
     layer id can place one outside ``tmp``."""
     layers = []
@@ -340,7 +339,8 @@ def _write_handoff(tmp: Path, workload: Workload, assignment: Assignment, approx
         }
         if ly.weight is not None:
             filename = f"layer_{li:03d}.tasd1"
-            mat = ly.weight if cfg is None or cfg.is_dense else approximation(ly, cfg)
+            dense = cfg is None or cfg.is_dense
+            mat = ly.weight if dense else ranked_weight(ly).approximation(cfg)
             save_matrix(mat, tmp / filename)
             entry["weight"] = filename
         layers.append(entry)

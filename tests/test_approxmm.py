@@ -236,6 +236,9 @@ class TestCorruptIndices:
             decode(term)
         with pytest.raises(CorruptIndices):
             getattr(self, product)(term, np.arange(float(cols)).reshape(cols, 1))
+        # both products check the indices before the shape of b
+        with pytest.raises(CorruptIndices):
+            getattr(self, product)(term, np.ones((cols + 1, 1)))
 
 
 class TestRelativeError:

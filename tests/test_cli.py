@@ -1,11 +1,18 @@
-"""End-to-end CLI behavior through real subprocess invocations."""
+"""End-to-end CLI behavior through real subprocess invocations; the JSON
+input fuzz calls ``tasd.cli.main`` in process."""
 
+import contextlib
+import copy
+import io
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import SLOW_SCRIPT, assert_gone
 from tasd import (
@@ -18,6 +25,8 @@ from tasd import (
     save_matrix,
     vegeta_m8,
 )
+from tasd.cli import main
+from tasd.hwmodel import COST_CSV_HEADER
 
 CFG = TasdConfig.parse
 
@@ -400,6 +409,145 @@ class TestSimulate:
                        "--out", tmp_path / "c.csv")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    def test_mistyped_manifest_path_is_data_error(self, workspace, tmp_path):
+        # a numeric weight path used to escape as a TypeError from Path / int
+        obj = json.loads((workspace / "workload.json").read_text())
+        obj["layers"][0]["weight"] = 5
+        workload = workspace / "mistyped_weight.json"
+        workload.write_text(json.dumps(obj))
+        proc = run_cli("simulate", "--workload", workload, "--hw", "vegeta-m8",
+                       "--out", tmp_path / "c.csv")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_zero_dense_edp_is_data_error(self, workspace, tmp_path):
+        # the EDP ratio used to divide by zero after the CSV was written
+        obj = vegeta_m8().to_dict()
+        obj["energy_pj"] = {key: 0.0 for key in obj["energy_pj"]}
+        hw = tmp_path / "hw.json"
+        hw.write_text(json.dumps(obj))
+        proc = run_cli("simulate", "--workload", workspace / "workload.json", "--hw", hw,
+                       "--assignment", workspace / "assignment.json")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+# JSON values put in place of a node: strings where numbers belong and the
+# reverse, booleans, null, floats where integers belong, an integer too
+# large for a float, the NaN and Infinity literals, and wrong containers
+REPLACEMENTS = ["8", "0.9", "L0", True, False, None, 8.0, 8.5, -1, 0, 10**400,
+                math.nan, math.inf, -math.inf, [], {}, ["x"]]
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, (*prefix, key))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, (*prefix, i))
+
+
+def _zeroed(node):
+    if isinstance(node, dict):
+        return {key: _zeroed(child) for key, child in node.items()}
+    if isinstance(node, list):
+        return [_zeroed(child) for child in node]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return type(node)(0)
+    return node
+
+
+def _mutated(doc, path, op, arg):
+    """``doc`` with the node at ``path`` replaced by ``arg``, deleted,
+    zeroed (every number under it), written as a JSON string, wrapped in a
+    list, or given an extra key."""
+    new = {
+        "set": lambda node: arg,
+        "zero": _zeroed,
+        "string": json.dumps,
+        "wrap": lambda node: [node],
+        "extra": lambda node: {**node, "extra": 1} if isinstance(node, dict) else node,
+    }
+    doc = copy.deepcopy(doc)
+    if not path:
+        return doc if op == "delete" else new[op](doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new[op](parent[path[-1]])
+    return doc
+
+
+class TestJsonInputFuzz:
+    """Mutated manifests, hardware specs and assignments through
+    ``simulate``: exit 0 with a finite cost CSV of the manifest's layers, or
+    exit 2 with nothing written. No exception may escape."""
+
+    MANIFEST = {
+        "name": "fuzz",
+        "baseline_quality": 0.9,
+        "layers": [
+            {"id": "L0", "m": 16, "n": 8, "k": 8, "weight": "w0.tasd1",
+             "calibration_dir": "cal", "weights_sparse": False, "acts_sparse": True},
+            {"id": "L1", "m": 8, "n": 4, "k": 16},
+        ],
+    }
+    ASSIGNMENT = {"L0": {"terms": [[4, 8], [1, 8]]}, "L1": {"terms": [[2, 8]]}}
+    DOCS = ("manifest", "hw", "assignment")
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        save_matrix(random_matrix(16, 8, 0.5, "uniform", seed=1), root / "w0.tasd1")
+        (root / "cal").mkdir()
+        return root
+
+    @given(data=st.data(), with_assignment=st.booleans())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_0_with_finite_costs_or_exit_2(self, root, data, with_assignment):
+        docs = {"manifest": self.MANIFEST, "hw": vegeta_m8().to_dict(),
+                "assignment": self.ASSIGNMENT}
+        for _ in range(data.draw(st.integers(1, 2))):
+            name = data.draw(st.sampled_from(self.DOCS))
+            path = data.draw(st.sampled_from(list(_paths(docs[name]))))
+            op = data.draw(st.sampled_from(["set", "delete", "zero", "string", "wrap", "extra"]))
+            arg = data.draw(st.sampled_from(REPLACEMENTS)) if op == "set" else None
+            docs[name] = _mutated(docs[name], path, op, arg)
+        for name, doc in docs.items():
+            (root / f"{name}.json").write_text(json.dumps(doc))
+        out = root / "cost.csv"
+        out.unlink(missing_ok=True)
+        argv = ["simulate", "--workload", str(root / "manifest.json"),
+                "--hw", str(root / "hw.json"), "--out", str(out)]
+        if with_assignment:
+            argv += ["--assignment", str(root / "assignment.json")]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
+        if code == 2:
+            assert not out.exists() and stdout.getvalue() == ""
+            return
+        assert code == 0
+        ratio = stdout.getvalue().removeprefix("edp_vs_dense=")
+        assert math.isfinite(float(ratio))
+        header, *rows = out.read_text().splitlines()
+        assert header == COST_CSV_HEADER
+        ids = [layer["id"] for layer in docs["manifest"]["layers"]]
+        assert all(isinstance(i, str) for i in ids)
+        assert isinstance(docs["manifest"]["name"], str)
+        assert [row.split(",")[0] for row in rows] == [*ids, "total"]
+        for row in rows:
+            assert all(math.isfinite(float(cell)) for cell in row.split(",")[2:])
 
 
 class TestPatterns:

@@ -23,7 +23,7 @@ from tasd import (
     vegeta_m8,
     workload_cost,
 )
-from tasd.hwmodel import COST_CSV_HEADER, render_cost_csv
+from tasd.hwmodel import BUILTIN_SPECS, COST_CSV_HEADER, render_cost_csv
 
 CFG = TasdConfig.parse
 HW = vegeta_m8()
@@ -111,9 +111,12 @@ class TestHwSpec:
         assert stc_m4().base_patterns == frozenset({2})
 
     def test_shipped_config_files_match_factories(self):
+        # configs/<name>.json mirrors the built-in spec <name> with "-" for "_"
         configs = Path(__file__).resolve().parent.parent / "configs"
-        assert HwSpec.from_json(configs / "vegeta_m8.json") == vegeta_m8()
-        assert HwSpec.from_json(configs / "stc_m4.json") == stc_m4()
+        files = {path.stem.replace("_", "-"): path for path in configs.glob("*.json")}
+        assert set(files) == set(BUILTIN_SPECS)
+        for name, path in files.items():
+            assert HwSpec.from_json(path) == BUILTIN_SPECS[name]()
 
 
 class TestHwSpecNumbers:
@@ -390,6 +393,18 @@ class TestWorkloadCost:
         # ignoring the id would price every layer dense without a word
         with pytest.raises(SchemaError, match="'ZZ'"):
             workload_cost(HW, three_layer_workload(), **kwargs)
+
+    @pytest.mark.parametrize(
+        "dims, mac_energy",
+        [((10**400, 8, 8), 2.0), ((10**120, 10**120, 8), 2.0), ((64, 64, 64), 1e308)],
+    )
+    def test_cost_overflowing_a_float_rejected(self, dims, mac_energy):
+        # 10**400 rows used to escape as an OverflowError; the other two
+        # used to price the workload at an infinite EDP
+        hw = custom_hw(energy_pj={**BASE_ENERGY, "mac": mac_energy})
+        wl = Workload("w", (LayerSpec("L0", *dims),), baseline_quality=1.0)
+        with pytest.raises(SchemaError, match="overflows"):
+            workload_cost(hw, wl)
 
     def test_csv_rendering(self):
         wl = three_layer_workload()

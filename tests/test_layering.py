@@ -1,10 +1,17 @@
-"""The package's module graph: read from the source with ``ast``, so a
-deferred import inside a function counts as an edge too."""
+"""The package's module graph, and the names ``perfbench/tracer.py``
+patches: both read from the source with ``ast``, so a deferred import
+inside a function counts as an edge too."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
+import tasd.workload
+from tasd._parallel import map_ordered, resolve_workers
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tasd"
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
@@ -111,3 +118,37 @@ def test_search_ranks_without_decomposing():
 def test_cost_model_does_not_import_search():
     assert "search" not in GRAPH["hwmodel"]
     assert GRAPH["hwmodel"] <= {"errors", "matrix"}
+
+
+def _tracer_targets():
+    """The (module, attribute) pairs of the tracer's ``TARGETS`` tuple."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_tracer_targets_exist():
+    targets = _tracer_targets()
+    assert targets
+    missing = [t for t in targets if not hasattr(importlib.import_module(t[0]), t[1])]
+    assert missing == []
+
+
+def test_tracer_passes_workers_positionally():
+    # the tracer calls map_ordered(fn, items, workers) and resolve_workers(workers)
+    for fn, index in ((map_ordered, 2), (resolve_workers, 0)):
+        param = list(inspect.signature(fn).parameters.values())[index]
+        assert param.name == "workers"
+        assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_only_concrete_oracles_define_evaluate():
+    # the tracer wraps every evaluate defined in tasd.workload; one on a base
+    # class would be counted twice
+    defining = {
+        name
+        for name, cls in vars(tasd.workload).items()
+        if inspect.isclass(cls) and cls.__module__ == "tasd.workload" and "evaluate" in vars(cls)
+    }
+    assert defining == {"MagnitudeOracle", "ErrorOracle", "CommandOracle"}

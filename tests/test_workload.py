@@ -95,6 +95,12 @@ class TestWorkload:
         with pytest.raises(SchemaError):
             Workload("dup", dup, baseline_quality=1.0)
 
+    def test_name_and_layer_ids_must_be_strings(self):
+        with pytest.raises(SchemaError):
+            LayerSpec(None, 1, 1, 1)
+        with pytest.raises(SchemaError):
+            Workload(5, (LayerSpec("L0", 1, 1, 1),), baseline_quality=1.0)
+
     def test_layer_lookup(self):
         wl = two_layer_workload()
         assert wl.layer("L1").gemm_k == 3
@@ -222,16 +228,33 @@ class TestLoadWorkload:
             ("acts_sparse", 1),
             ("baseline_quality", True),
             ("baseline_quality", "0.9"),
+            ("name", 5),
+            ("name", None),
+            ("id", None),
+            ("id", ["x"]),
+            ("id", 3),
+            ("weight", 5),
+            ("weight", ["w.tasd1"]),
+            ("calibration_dir", ["a"]),
+            ("calibration_dir", 1),
         ],
     )
     def test_mistyped_values_rejected(self, tmp_path, key, value):
         # each of these used to be coerced: 8.7 to 8, true to 1, "8" to 8,
-        # "false" to True, "0.9" to 0.9
+        # "false" to True, "0.9" to 0.9, a null id to "None" and ["x"] to
+        # "['x']"; a numeric or list path escaped as a TypeError
         layer = {"id": "a", "m": 8, "n": 8, "k": 8}
         obj = {"name": "x", "baseline_quality": 0.9, "layers": [layer]}
-        (obj if key == "baseline_quality" else layer)[key] = value
+        (obj if key in ("baseline_quality", "name") else layer)[key] = value
         with pytest.raises(SchemaError):
             load_workload(self.write_manifest(tmp_path, obj))
+
+    def test_null_paths_mean_absent(self, tmp_path):
+        # the handoff manifest of CommandOracle writes "weight": null
+        layer = {"id": "a", "m": 8, "n": 8, "k": 8, "weight": None, "calibration_dir": None}
+        obj = {"name": "x", "baseline_quality": 0.9, "layers": [layer]}
+        loaded = load_workload(self.write_manifest(tmp_path, obj)).layer("a")
+        assert loaded.weight is None and loaded.calibration_dir is None
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_baseline_too_large_for_a_float_rejected(self, tmp_path, sign):
