@@ -75,6 +75,13 @@ def _finite(text: str) -> float:
     return value
 
 
+def _rho(text: str) -> float:
+    value = _finite(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"rho must be in (0, 1], got {text}")
+    return value
+
+
 def _seconds(text: str) -> float:
     value = _finite(text)
     if value <= 0:
@@ -313,7 +320,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--mode", choices=("network", "greedy", "activation"), required=True)
     p.add_argument("--alpha", type=_finite, default=0.05)
-    p.add_argument("--rho", type=_finite, default=0.99)
+    p.add_argument("--rho", type=_rho, default=0.99)
     p.add_argument("--threshold", type=_finite, default=0.99)
     p.add_argument(
         "--oracle",

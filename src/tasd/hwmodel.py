@@ -235,15 +235,27 @@ def gemm_cost(
     Dense execution (config None or a single n=m term) bypasses the
     decomposition units entirely: no per-block extraction energy, no
     metadata traffic, no extra C passes. ``input_sparsity_gating`` scales
-    MAC energy only (compute cycles are unchanged by gating).
+    MAC energy only (compute cycles are unchanged by gating). A cost too
+    large for a float is a ``SchemaError``.
     """
-    if min(gemm_m, gemm_n, gemm_k) < 0:
-        raise ValueError("GEMM dims must be non-negative")
+    if not all(_is_int(d) and d >= 0 for d in (gemm_m, gemm_n, gemm_k)):
+        raise ValueError("GEMM dims must be non-negative integers")
     if gemm_m == 0 or gemm_n == 0 or gemm_k == 0:
         return _report(0, 0, 0, dict(_ZERO_BREAKDOWN))
     if input_sparsity_gating is not None and not 0.0 <= input_sparsity_gating <= 1.0:
         raise ValueError("input_sparsity_gating must be in [0, 1]")
+    try:
+        report = _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config, input_sparsity_gating or 0.0)
+        finite = math.isfinite(report.edp) and math.isfinite(report.mac_count)
+    except OverflowError:  # a count too large to convert to a float
+        finite = False
+    if not finite:
+        raise SchemaError("the GEMM's cost overflows a float: dims or energies too large")
+    return report
 
+
+def _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config, gating) -> CostReport:
+    """The body of ``gemm_cost`` for positive integer dims."""
     dense = config is None or config.is_dense
     if not dense and not is_expressible(config, hw.menu):
         raise NotExpressible(
@@ -296,7 +308,6 @@ def gemm_cost(
     c_l1 = gemm_m * gemm_n * (1 + 2 * (n_terms - 1))
     c_dram = gemm_m * gemm_n
 
-    gating = input_sparsity_gating or 0.0
     energy = hw.energy_pj
     tasd_energy = (
         0.0 if dense else blocks_per_term * sum(ns) * energy["tasd_unit"]

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCalibration, MissingStats, SchemaError
+from .errors import EmptyCalibration, MissingStats, NonFiniteEntry, SchemaError
 from .matrix import (
     Assignment,
     NmPattern,
@@ -158,6 +158,8 @@ def sparsity_select(layer_sparsity: float, alpha: float, menu: PatternMenu) -> T
     """Config with the largest approximated sparsity strictly below
     layer_sparsity + alpha; dense when none fits or the target is <= 0."""
     target = layer_sparsity + alpha
+    if not np.isfinite(target):
+        raise NonFiniteEntry(f"sparsity {layer_sparsity} plus alpha {alpha} is not finite")
     choice = dense_config(menu)
     if target <= 0.0:
         return choice
@@ -191,7 +193,11 @@ def profile_calibration(samples, layer_id: str = "") -> LayerStats:
 def pseudo_density(magnitudes, rho: float = 0.99) -> float:
     """Smallest k/len whose k largest magnitudes sum to at least rho of
     the total; 0 for an all-zero (or empty) input."""
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"rho must be in (0, 1], got {rho}")
     mags = np.abs(np.asarray(list(magnitudes), dtype=np.float64)).ravel()
+    if not np.isfinite(mags).all():
+        raise NonFiniteEntry("magnitudes must be finite")
     if mags.size == 0:
         return 0.0
     csum = np.cumsum(np.sort(mags)[::-1])

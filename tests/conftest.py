@@ -104,20 +104,30 @@ def py_matmul(a, b) -> np.ndarray:
 
 def py_extract(mat, n: int, m: int):
     """Greedy per-block reference: keep the largest-magnitude non-zeros,
-    at most n per m-wide block, ties to the lowest column."""
+    at most n per m-wide block, ties to the lowest column.
+
+    Returns the dense term, the residual, and the term's packed values and
+    indices, each (rows, blocks, n): kept slots in ascending column order,
+    then 0.0 and -1 in the unused slots; the last block may be partial.
+    """
     arr = np.asarray(mat, dtype=np.float64)
     term = np.zeros_like(arr)
     residual = arr.copy()
     rows, cols = arr.shape
+    blocks = -(-cols // m)
+    values = np.zeros((rows, blocks, n))
+    indices = np.full((rows, blocks, n), -1, dtype=np.int64)
     for r in range(rows):
-        for start in range(0, cols, m):
+        for blk, start in enumerate(range(0, cols, m)):
             block = range(start, min(start + m, cols))
             nonzero = [c for c in block if arr[r, c] != 0.0]
             nonzero.sort(key=lambda c: (-abs(arr[r, c]), c))
-            for c in nonzero[:n]:
+            for slot, c in enumerate(sorted(nonzero[:n])):
                 term[r, c] = arr[r, c]
                 residual[r, c] = 0.0
-    return term, residual
+                values[r, blk, slot] = arr[r, c]
+                indices[r, blk, slot] = c - start
+    return term, residual, values, indices
 
 
 def max_subset_magnitude(values, k: int) -> float:

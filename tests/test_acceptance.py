@@ -60,15 +60,6 @@ def criterion(number: int, budget_s: float):
     print(f"[criterion {number}] PASS ({elapsed:.2f}s)")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # first kernel call may trigger JIT compilation; keep that out of the
-    # per-criterion wall-clock budgets
-    mat = random_matrix(8, 8, 0.5, "normal", seed=0)
-    d = decompose(mat, CFG("2:4"))
-    tasd_matmul(d, random_matrix(8, 2, 1.0, "uniform", seed=1))
-
-
 def test_criterion_01_exact_reconstruction_across_random_matrices():
     with criterion(1, budget_s=10.0):
         rng = np.random.default_rng(20260819)

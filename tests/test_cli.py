@@ -295,6 +295,15 @@ class TestSearch:
         assert "finite" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("rho", ["-1", "5"])
+    def test_rho_outside_unit_interval_is_usage_error(self, workspace, tmp_path, rho):
+        # --rho -1 used to assign 1:8 to a layer, and --rho 5 wrote {}
+        out = tmp_path / "a.json"
+        proc = run_cli("search", "--workload", workspace / "workload.json", "--hw", "vegeta-m8",
+                       "--mode", "activation", "--pseudo-density", "--rho", rho, "--out", out)
+        assert proc.returncode == 1
+        assert "rho must be in (0, 1]" in proc.stderr
+        assert not out.exists()
 
     def test_oracle_timeout_is_data_error(self, workspace, tmp_path):
         pid_file = tmp_path / "child.pid"

@@ -133,13 +133,29 @@ class TestExtractTerm:
         assert decode(term).tolist() == [[0.0, 0.0, 1.0, 0.0]]
         assert not residual.any()
 
-    @given(matrices(), small_patterns)
+    @staticmethod
+    def assert_matches_reference(mat, pattern):
+        term, residual = extract_term(mat, pattern)
+        ref_term, ref_residual, ref_values, ref_indices = py_extract(
+            mat, pattern.n, pattern.m
+        )
+        assert np.array_equal(decode(term), ref_term)
+        assert residual.tobytes() == ref_residual.tobytes()
+        assert term.values.tobytes() == ref_values.tobytes()
+        assert term.indices.tobytes() == ref_indices.tobytes()
+
+    @given(st.one_of(matrices(), tied_matrices()), small_patterns)
     @settings(max_examples=120, deadline=None)
     def test_matches_pure_python_reference(self, mat, pattern):
-        term, residual = extract_term(mat, pattern)
-        ref_term, ref_residual = py_extract(mat, pattern.n, pattern.m)
-        assert np.array_equal(decode(term), ref_term)
-        assert np.array_equal(residual, ref_residual)
+        self.assert_matches_reference(mat, pattern)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_packed_layout_of_tied_and_short_blocks(self, m):
+        # every n at this m, on rows of tied magnitudes with both zeros,
+        # ending in a partial block for every m above 1
+        row = [2.0, -2.0, 0.0, -0.0, 1.0, 2.0, -1.0, 0.0, 2.0, -2.0, 1.0][: m + (m + 1) // 2]
+        for n in range(1, m + 1):
+            self.assert_matches_reference(np.array([row, row[::-1]]), NmPattern(n, m))
 
     @given(matrices(max_side=10), small_patterns)
     @settings(max_examples=80, deadline=None)

@@ -249,6 +249,21 @@ class TestGemmCost:
         with pytest.raises(ValueError):
             gemm_cost(HW, -1, 16, 16)
 
+    @pytest.mark.parametrize(
+        "dims, error",
+        [
+            ((8.5, 8, 8), ValueError),  # was priced at 544 MACs
+            ((8, 8.0, 8), ValueError),
+            ((True, 8, 8), ValueError),  # was priced as 1 row
+            ((8, 8, "8"), ValueError),
+            ((10**400, 8, 8), SchemaError),  # escaped as an OverflowError
+            ((10**120, 10**120, 8), SchemaError),  # was an infinite EDP
+        ],
+    )
+    def test_dims_must_be_integers_with_a_finite_cost(self, dims, error):
+        with pytest.raises(error):
+            gemm_cost(HW, *dims)
+
     def test_unsupported_configs_rejected(self):
         for bad in ("3:8", "7:8", "2:4", "2:4+2:8", "1:8+1:8+1:8"):
             with pytest.raises(NotExpressible):

@@ -1,6 +1,6 @@
-"""The package's module graph, and the names ``perfbench/tracer.py``
-patches: both read from the source with ``ast``, so a deferred import
-inside a function counts as an edge too."""
+"""The package's module graph, the names ``perfbench/tracer.py`` patches,
+and the names the benchmark reads: all read from the source with ``ast``,
+so a deferred import inside a function counts as an edge too."""
 
 import ast
 import importlib
@@ -11,7 +11,8 @@ import tasd.workload
 from tasd._parallel import map_ordered, resolve_workers
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tasd"
-TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
@@ -133,6 +134,61 @@ def test_tracer_targets_exist():
     assert targets
     missing = [t for t in targets if not hasattr(importlib.import_module(t[0]), t[1])]
     assert missing == []
+
+
+def _dotted(node):
+    """``a.b.c`` for an attribute chain on a plain name, else ""."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def _benchmark_reads():
+    """Every ``tasd.<name>`` chain that ``perfbench/run.py`` and
+    ``perfbench/workloads.py`` read, and every name they import from tasd."""
+    reads = set()
+    for name in ("run.py", "workloads.py"):
+        for node in ast.walk(ast.parse((PERFBENCH / name).read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tasd":
+                reads.update(f"{node.module}.{a.name}" for a in node.names)
+            elif _dotted(node).startswith("tasd."):
+                reads.add(_dotted(node))
+    return reads
+
+
+def _resolves(dotted):
+    """Whether ``dotted`` names an object once its longest module prefix is
+    imported, as ``import tasd.cli`` then ``tasd.cli.main`` does."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        for part in parts[i:]:
+            if not hasattr(obj, part):
+                return False
+            obj = getattr(obj, part)
+        return True
+    return False
+
+
+def test_benchmark_reads_exist():
+    reads = _benchmark_reads()
+    assert {
+        "tasd.active_backend",
+        "tasd.HAS_NUMBA",
+        "tasd.decompose",
+        "tasd.matmul",
+        "tasd.tasd_matmul",
+        "tasd.random_matrix",
+        "tasd.approximate",
+        "tasd.save_matrix",
+        "tasd.cli.main",
+    } <= reads
+    assert [dotted for dotted in sorted(reads) if not _resolves(dotted)] == []
 
 
 def test_tracer_passes_workers_positionally():

@@ -14,6 +14,7 @@ from tasd import (
     MagnitudeOracle,
     MissingStats,
     NmPattern,
+    NonFiniteEntry,
     PatternMenu,
     SchemaError,
     TasdConfig,
@@ -164,6 +165,15 @@ class TestSparsitySelect:
     def test_tiny_sparsity_is_dense(self):
         assert sparsity_select(0.05, 0.01, self.H_MENU).is_dense
 
+    @pytest.mark.parametrize(
+        "sparsity, alpha",
+        [(float("nan"), 0.05), (float("inf"), 0.05), (0.5, float("nan")), (0.5, float("-inf"))],
+    )
+    def test_non_finite_input_rejected(self, sparsity, alpha):
+        # NaN sparsity used to pick dense without a word
+        with pytest.raises(NonFiniteEntry):
+            sparsity_select(sparsity, alpha, self.H_MENU)
+
     @given(menus(), st.floats(0, 1), st.floats(0, 0.3))
     @settings(max_examples=100, deadline=None)
     def test_matches_linear_scan_oracle(self, menu, s, alpha):
@@ -199,6 +209,18 @@ class TestPseudoDensity:
     def test_all_zero(self):
         assert pseudo_density([0.0, 0.0], rho=0.99) == 0.0
         assert pseudo_density([], rho=0.99) == 0.0
+
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, 1.0000001, 5.0, float("nan")])
+    def test_rho_outside_unit_interval_rejected(self, rho):
+        # rho -1 used to give 0.5 and rho 5 gave 1.0
+        with pytest.raises(ValueError, match="rho"):
+            pseudo_density([1.0, 2.0], rho)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_magnitudes_rejected(self, bad):
+        # [1.0, nan] used to give 0.5
+        with pytest.raises(NonFiniteEntry):
+            pseudo_density([1.0, bad])
 
     @given(
         st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=12),
