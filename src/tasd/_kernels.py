@@ -4,7 +4,8 @@ matmul and compressed-times-dense matmul, vectorized in numpy.
 Both products pin the same summation order: ascending k per output
 element, one rounding per multiply and per add, no fused multiply-add.
 Both leave out products whose left operand is zero, so their cost tracks
-the non-zeros (the rule is in ``_accumulate``). Leaving such a product
+the non-zeros (the rule is in ``_accumulate``, and ``matmul_into`` steps
+over each row's non-zeros when rows are sparse). Leaving such a product
 out, or adding it, never changes a bit. The accumulator starts at +0.0
 and is never -0.0, since under round-to-nearest a sum is -0.0 only when
 both addends are. The product is a zero times a finite number (the
@@ -52,6 +53,13 @@ def extract_term_blocks(residual, values, indices, n, m):
     flat[br, bc] = 0.0
 
 
+# Rows per tile of the dense matmul's row steps. A tile's sort, step
+# indices and scratch buffer grow with its rows. At 128 rows, a 256 x 256
+# product's peak memory matches what its column steps need, and products
+# of up to 128 rows stay in one tile.
+TILE_ROWS = 128
+
+
 def _accumulate(steps, b, out):
     """out += column * b[k] for each (column, k) of ``steps``, in order.
 
@@ -63,22 +71,57 @@ def _accumulate(steps, b, out):
     The one selection rule of both products: a step with more than
     a third of its rows non-zero updates ``out`` whole (its other rows add
     exact zeros), a sparser one updates only its own rows, and an empty
-    one does no work.
+    one does no work. Every step works in one out-sized scratch buffer.
     """
-    rows_total = out.shape[0]
+    scratch = np.empty_like(out)
     for column, k in steps:
         count = np.count_nonzero(column)
-        if 3 * count > rows_total:
-            out += column[:, None] * b[k]
+        if 3 * count > out.shape[0]:
+            _scaled_rows(column, b, k, scratch)
+            out += scratch
         elif count:
             rows = column.nonzero()[0]
-            out[rows] += column[rows, None] * b[k if isinstance(k, int) else k[rows]]
+            part, sums = scratch[:count], scratch[count:2 * count]
+            _scaled_rows(column[rows], b, k if isinstance(k, int) else k[rows], part)
+            np.take(out, rows, axis=0, out=sums, mode="clip")
+            sums += part
+            out[rows] = sums
+
+
+def _scaled_rows(column, b, k, product):
+    """product = column[:, None] * b[k], written in place. Every index is
+    in range (from ``matmul_into``, or packed indices checked before
+    ``spmm_into``), so the gather need not check it."""
+    if isinstance(k, int):
+        np.multiply(column[:, None], b[k], out=product)
+    else:
+        np.take(b, k, axis=0, out=product, mode="clip")
+        np.multiply(column[:, None], product, out=product)
 
 
 def matmul_into(a, b, out):
-    """out += a @ b with ascending-k accumulation per output element; step
-    k is column k of ``a``."""
-    _accumulate(zip(a.T, range(a.shape[1])), b, out)
+    """out += a @ b with ascending-k accumulation per output element.
+
+    When no row of ``a`` has more than half of its K columns non-zero, the
+    product runs in tiles of at most ``TILE_ROWS`` rows, and step s of a
+    tile takes the s-th non-zero of every row, in ascending column order,
+    with zero padding in shorter rows (the slot layout of ``spmm_into``).
+    A tile then costs as many steps as its widest row has non-zeros.
+    Otherwise step k is column k of ``a``.
+    """
+    rows, inner = a.shape
+    nnz = np.count_nonzero(a, axis=1)
+    if 2 * nnz.max(initial=0) > inner:
+        _accumulate(zip(a.T, range(inner)), b, out)
+        return
+    for lo in range(0, rows, TILE_ROWS):
+        part = slice(lo, lo + TILE_ROWS)
+        width = int(nnz[part].max())
+        if width:
+            # a stable sort puts each row's non-zeros first, in column order
+            ks = np.argsort(a[part] == 0, axis=1, kind="stable")[:, :width].T.copy()
+            tile, rowid = a[part], np.arange(ks.shape[1])
+            _accumulate(((tile[rowid, k], k) for k in ks), b, out[part])
 
 
 def spmm_into(values, indices, m, b, out):

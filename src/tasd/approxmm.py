@@ -76,6 +76,18 @@ def residual_error(residual, b, denom: float) -> float:
     return float(np.linalg.norm(matmul(residual, b))) / denom
 
 
+def block_norms(a, b, widths) -> list[float]:
+    """|| A @ B_i ||_F for each block B_i of ``widths`` consecutive columns
+    of b, from one product. Each norm is taken over a contiguous copy of
+    its block, so it equals the norm of A @ B_i bit for bit."""
+    product = matmul(a, b)
+    edges = np.cumsum((0, *widths))
+    return [
+        float(np.linalg.norm(np.ascontiguousarray(product[:, lo:hi])))
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+
+
 def relative_error(a, config, b) -> float:
     """|| (A - approx(A)) @ B ||_F / || A @ B ||_F."""
     a = as_matrix(a)

@@ -23,10 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .approxmm import reference_norm, residual_error
+from .approxmm import block_norms
 from .decomp import RankedMatrix, decompose, drop_metrics
 from .errors import (
-    DegenerateProduct,
     DimensionMismatch,
     MissingCalibration,
     NonFiniteEntry,
@@ -182,10 +181,10 @@ def load_calibration(layer: LayerSpec) -> list[DenseMatrix]:
 class _Oracle:
     """Per-layer data an oracle keeps between evaluations, in one cache:
     each weight as a ``RankedMatrix`` (one rank pass per block size), and
-    for the two built-in proxies each layer's calibration samples with
-    their reference norms ||W @ B||_F and each (layer, config) score. The
-    cache holds the data of one workload: evaluating another Workload
-    object starts a fresh one.
+    for the two built-in proxies each layer's calibration samples, side by
+    side, with their reference norms ||W @ B||_F and each (layer, config)
+    score. The cache holds the data of one workload: evaluating another
+    Workload object starts a fresh one.
     """
 
     def __init__(self):
@@ -247,19 +246,27 @@ class ErrorOracle(_ProxyOracle):
         return workload.baseline_quality * (1.0 - float(np.mean(scores)))
 
     def _score(self, layer: LayerSpec, cfg: TasdConfig) -> float:
-        calibration = self._samples_and_norms(layer)
+        samples, widths, norms = self._calibration(layer)
         residual = self._ranked_weight(layer).residual(cfg)
-        return float(np.mean([residual_error(residual, b, norm) for b, norm in calibration]))
+        errors = block_norms(residual, samples, widths)
+        return float(np.mean([error / norm for error, norm in zip(errors, norms)]))
 
-    def _samples_and_norms(self, layer: LayerSpec):
-        """(sample, ||W @ sample||_F) pairs of the layer, loaded once."""
+    def _calibration(self, layer: LayerSpec):
+        """The layer's calibration samples side by side (K x total
+        columns), each sample's width, and each reference norm
+        ||W @ sample||_F, loaded and multiplied once."""
 
         def load():
             samples = load_calibration(layer)
-            try:
-                return [(b, reference_norm(layer.weight, b)) for b in samples]
-            except DegenerateProduct as exc:
-                raise OracleFailure(f"layer {layer.layer_id!r}: {exc}") from exc
+            widths = [sample.shape[1] for sample in samples]
+            stacked = np.hstack(samples)
+            norms = block_norms(layer.weight, stacked, widths)
+            if 0.0 in norms:
+                raise OracleFailure(
+                    f"layer {layer.layer_id!r}: reference product of calibration sample "
+                    f"{norms.index(0.0)} has zero Frobenius norm"
+                )
+            return stacked, widths, norms
 
         return self._cached(("calibration", layer.layer_id), load)
 

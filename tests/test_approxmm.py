@@ -91,6 +91,39 @@ def masked_pairs(draw):
     return a, b
 
 
+@st.composite
+def row_width_pairs(draw):
+    """(A, B) whose widest row of A holds K/2 - 1, K/2 or K/2 + 1
+    non-zeros, either side of the switch to row steps, or an all-zero A.
+    Other rows hold fewer non-zeros, often none; A holds -0.0 off its
+    support, and both operands hold signed zeros and underflowing
+    entries."""
+    rows = draw(st.integers(1, 12))
+    inner = draw(st.integers(2, 16))
+    offset = draw(st.sampled_from((None, -1, 0, 1)))
+    width = 0 if offset is None else max(0, inner // 2 + offset)
+    cols = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(size):
+        values = rng.normal(size=size)
+        special = rng.random(size) < 0.2
+        values[special] = rng.choice(SPECIAL, size=int(special.sum()))
+        return values
+
+    a = np.where(rng.random((rows, inner)) < 0.5, 0.0, -0.0)
+    counts = rng.integers(0, width + 1, size=rows)
+    counts[rng.random(rows) < 0.3] = 0
+    counts[rng.integers(rows)] = width
+    for i, count in enumerate(counts):
+        values = entries(count)
+        values[values == 0.0] = 1.5  # a -0.0 would leave the row short
+        a[i, rng.permutation(inner)[:count]] = values
+    b = entries((inner, cols))
+    b[rng.random(b.shape) < 0.2] = 0.0
+    return a, b
+
+
 class TestMatmul:
     def test_identity(self):
         mat = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -113,6 +146,63 @@ class TestMatmul:
     def test_bitwise_across_column_densities(self, pair):
         a, b = pair
         assert matmul(a, b).tobytes() == py_matmul(a, b).tobytes()
+
+    @given(row_width_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_either_side_of_row_steps(self, pair):
+        a, b = pair
+        assert matmul(a, b).tobytes() == py_matmul(a, b).tobytes()
+
+    @staticmethod
+    def count_steps(monkeypatch) -> list[int]:
+        """Steps of each ``_accumulate`` call from here on, in call order."""
+        steps_per_call = []
+        accumulate = tasd._kernels._accumulate
+
+        def counted(steps, b, out):
+            steps = list(steps)
+            steps_per_call.append(len(steps))
+            accumulate(steps, b, out)
+
+        monkeypatch.setattr(tasd._kernels, "_accumulate", counted)
+        return steps_per_call
+
+    @pytest.mark.parametrize("width", range(0, 10))
+    def test_row_steps_count_the_widest_row(self, monkeypatch, width):
+        # K = 16: up to 8 non-zeros per row take one step per slot of the
+        # widest row, more take one step per column; an all-zero A (width
+        # 0, all -0.0) takes none
+        rng = np.random.default_rng(width)
+        a = np.full((12, 16), -0.0)
+        for i in range(12):
+            count = width if i == 5 else rng.integers(0, width + 1)
+            a[i, rng.permutation(16)[:count]] = rng.normal(size=count) + 3.0
+        b = rng.normal(size=(16, 4))
+        steps = self.count_steps(monkeypatch)
+        product = matmul(a, b)
+        assert sum(steps) == (width if 2 * width <= 16 else 16)
+        assert product.tobytes() == py_matmul(a, b).tobytes()
+
+    def test_row_steps_run_in_tiles(self, monkeypatch):
+        # tiles of TILE_ROWS rows, each as many steps as its widest row
+        # has non-zeros (4, 3, none, 1); one row past half of K puts the
+        # whole product on K column steps
+        tile = tasd._kernels.TILE_ROWS
+        rng = np.random.default_rng(3)
+        a = np.zeros((3 * tile + 5, 8))
+        a[:tile, :4] = rng.normal(size=(tile, 4))
+        a[tile:2 * tile, 2:5] = rng.normal(size=(tile, 3))
+        a[3 * tile:, 7] = 1.5
+        b = rng.normal(size=(8, 3))
+        steps = self.count_steps(monkeypatch)
+        product = matmul(a, b)
+        assert steps == [4, 3, 1]
+        assert product.tobytes() == py_matmul(a, b).tobytes()
+        a[2 * tile, :5] = 2.0
+        steps.clear()
+        product = matmul(a, b)
+        assert steps == [8]
+        assert product.tobytes() == py_matmul(a, b).tobytes()
 
 
 class TestSpmmTerm:

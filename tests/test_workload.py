@@ -375,6 +375,33 @@ class TestOutputErrorOracle:
         with pytest.raises(OracleFailure):
             ErrorOracle().evaluate(wl, {"L0": CFG("1:2")})
 
+    def sampled_layer(self, tmp_path, samples):
+        """One 16x16 layer with the given calibration samples."""
+        calib = tmp_path / "calib"
+        calib.mkdir()
+        for si, sample in enumerate(samples):
+            save_matrix(sample, calib / f"s{si}.tasd1")
+        weight = random_matrix(16, 16, 0.8, "normal", seed=11)
+        layer = LayerSpec("L0", 16, 8, 16, weight=weight, calibration_dir=str(calib))
+        return Workload("w", (layer,), baseline_quality=1.0), weight
+
+    @pytest.mark.parametrize("config", ["1:4", "2:4", "1:8", "2:8+1:8", "4:8"])
+    def test_samples_of_unequal_widths(self, tmp_path, config):
+        # one product per config over the samples side by side gives each
+        # sample's error bit for bit
+        samples = [random_matrix(16, cols, 0.9, "uniform", seed=(12, cols))
+                   for cols in (8, 1, 5)]
+        wl, weight = self.sampled_layer(tmp_path, samples)
+        score = float(np.mean([relative_error(weight, config, b) for b in samples]))
+        assert ErrorOracle().evaluate(wl, {"L0": CFG(config)}) == 1.0 - score
+
+    def test_one_all_zero_sample_fails(self, tmp_path):
+        samples = [random_matrix(16, 4, 1.0, "uniform", seed=13), np.zeros((16, 3)),
+                   random_matrix(16, 2, 1.0, "uniform", seed=14)]
+        wl, _ = self.sampled_layer(tmp_path, samples)
+        with pytest.raises(OracleFailure, match="'L0'.*sample 1 has zero"):
+            ErrorOracle().evaluate(wl, {"L0": CFG("2:4")})
+
     def test_loader_sorts_by_file_name(self, tmp_path):
         wl = self.build(tmp_path, [1.0, 1.0], [[1.0], [2.0]])
         save_matrix(np.array([[3.0], [4.0]]), tmp_path / "calib" / "a.tasd1")
@@ -651,7 +678,9 @@ class TestOracleWork:
         if oracle == "error":
             # one rank pass per layer gives every residual
             assert (work["decompose"], work["rank"]) == (0, self.LAYERS)
-            assert work["matmul"] <= (len(pairs) + self.LAYERS) * self.SAMPLES
+            # one product per layer for the reference norms and one per
+            # pair, each over the layer's samples side by side
+            assert work["matmul"] == len(pairs) + self.LAYERS
         else:
             assert (work["decompose"], work["rank"]) == (len(pairs), 0)
             assert work["matmul"] == 0
