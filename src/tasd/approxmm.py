@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _kernels
 from ._parallel import map_ordered
-from .decomp import Decomposition, RankedMatrix, decompose, random_matrix
+from .decomp import Decomposition, RankedMatrix, random_matrix
 from .errors import DegenerateProduct, DimensionMismatch
 from .matrix import (
     DenseMatrix, NmCompressed, NmPattern, TasdConfig, _check_indices, as_matrix, config_of,
@@ -62,38 +62,40 @@ def _series_product(terms, rows: int, cols: int, b):
     return freeze(out), sum(term.nnz for term in terms) * b.shape[1]
 
 
-def reference_norm(a, b) -> float:
-    """|| A @ B ||_F, the denominator of every relative error."""
-    denom = float(np.linalg.norm(matmul(a, b)))
-    if denom == 0.0:
-        raise DegenerateProduct("reference product has zero Frobenius norm")
-    return denom
+class ProductError:
+    """|| (A - approx(A)) @ B_i ||_F / || A @ B_i ||_F for each sample B_i, a
+    block of ``widths`` consecutive columns of b (by default one: all of b).
+    Residuals come from one ``RankedMatrix`` of A, and a zero reference
+    norm is a ``DegenerateProduct`` naming the sample."""
 
+    def __init__(self, a, b, widths=None):
+        self.ranked = RankedMatrix(a)
+        self.b = as_matrix(b)
+        self.edges = np.cumsum((0, *([self.b.shape[1]] if widths is None else widths)))
+        self.norms = self._norms(self.ranked.mat)
+        if 0.0 in self.norms:
+            raise DegenerateProduct(
+                f"reference product of sample {self.norms.index(0.0)} has zero Frobenius norm"
+            )
 
-def residual_error(residual, b, denom: float) -> float:
-    """|| R @ B ||_F / denom, with R = A - approx(A) and denom from
-    ``reference_norm(A, B)``."""
-    return float(np.linalg.norm(matmul(residual, b))) / denom
+    def _norms(self, a) -> list[float]:
+        """|| a @ B_i ||_F of each sample, from one product: each is taken over
+        a contiguous copy of its block, so it equals that of a @ B_i bit for bit."""
+        product = matmul(a, self.b)
+        return [
+            float(np.linalg.norm(np.ascontiguousarray(product[:, lo:hi])))
+            for lo, hi in zip(self.edges[:-1], self.edges[1:])
+        ]
 
-
-def block_norms(a, b, widths) -> list[float]:
-    """|| A @ B_i ||_F for each block B_i of ``widths`` consecutive columns
-    of b, from one product. Each norm is taken over a contiguous copy of
-    its block, so it equals the norm of A @ B_i bit for bit."""
-    product = matmul(a, b)
-    edges = np.cumsum((0, *widths))
-    return [
-        float(np.linalg.norm(np.ascontiguousarray(product[:, lo:hi])))
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]
+    def errors(self, config) -> list[float]:
+        """Each sample's relative error under ``config``."""
+        errors = self._norms(self.ranked.residual(config_of(config)))
+        return [error / norm for error, norm in zip(errors, self.norms)]
 
 
 def relative_error(a, config, b) -> float:
     """|| (A - approx(A)) @ B ||_F / || A @ B ||_F."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    denom = reference_norm(a, b)
-    return residual_error(decompose(a, config).residual, b, denom)
+    return ProductError(a, b).errors(config)[0]
 
 
 def default_error_configs(ms=(4, 8)) -> list[TasdConfig]:
@@ -114,8 +116,7 @@ def error_sweep(
     A is uniform [0,1) masked to the requested sparsity; B is dense
     uniform [0,1). One (A, B) pair is drawn per (sparsity, seed) and
     shared by every config, so configs are compared on identical draws.
-    The residuals of A come from one rank pass per block size, one config
-    at a time.
+    Each draw is scored by one ``ProductError``, one config at a time.
     """
     rows, cols = dims
     sparsities = list(a_sparsities)
@@ -123,6 +124,8 @@ def error_sweep(
         default_error_configs() if configs is None else [config_of(c) for c in configs]
     )
     seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("error_sweep needs at least one seed")
 
     draws = [(si, s) for si in range(len(sparsities)) for s in seeds]
 
@@ -132,9 +135,8 @@ def error_sweep(
             rows, cols, 1.0 - sparsities[si], "uniform", seed=(master_seed, 0, si, seed)
         )
         b = random_matrix(cols, cols, 1.0, "uniform", seed=(master_seed, 1, si, seed))
-        denom = reference_norm(a, b)
-        ranked = RankedMatrix(a)
-        return [residual_error(ranked.residual(cfg), b, denom) for cfg in configs]
+        errors = ProductError(a, b).errors
+        return [errors(cfg)[0] for cfg in configs]
 
     results = dict(zip(draws, map_ordered(run_draw, draws, workers)))
     table = []

@@ -44,9 +44,6 @@ class HwSpec:
     pe_cols: int
     tasd_units_per_ttc: int
     blocks_out_per_cycle: int
-    rf_bytes: int
-    l1_bytes: int
-    l2_bytes: int
     elem_bytes: int
     energy_pj: MappingProxyType
 
@@ -109,8 +106,8 @@ class HwSpec:
         write_json(self.to_dict(), path)
 
 
-# the positive integer counts and capacities, in declaration order (the
-# annotations are strings under ``from __future__ import annotations``)
+# the positive integer counts, in declaration order (the annotations are
+# strings under ``from __future__ import annotations``)
 _COUNT_FIELDS = tuple(f.name for f in fields(HwSpec) if f.type == "int")
 
 
@@ -137,9 +134,6 @@ def vegeta_m8() -> HwSpec:
         pe_cols=16,
         tasd_units_per_ttc=16,
         blocks_out_per_cycle=2,
-        rf_bytes=256,
-        l1_bytes=64 * 1024,
-        l2_bytes=512 * 1024,
         elem_bytes=2,
         energy_pj=dict(_ILLUSTRATIVE_ENERGY),
     )
@@ -156,9 +150,6 @@ def stc_m4() -> HwSpec:
         pe_cols=16,
         tasd_units_per_ttc=4,
         blocks_out_per_cycle=1,
-        rf_bytes=256,
-        l1_bytes=32 * 1024,
-        l2_bytes=256 * 1024,
         elem_bytes=2,
         energy_pj=dict(_ILLUSTRATIVE_ENERGY),
     )

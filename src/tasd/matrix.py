@@ -140,10 +140,8 @@ class TasdConfig:
         for term in self.terms:
             if not isinstance(term, NmPattern):
                 raise ValueError(f"config terms must be NmPattern, got {term!r}")
-        if self.same_m and sum(t.n for t in self.terms) > self.terms[0].m:
-            raise ValueError(
-                f"same-m config {self.canonical()} has sum(n) > m"
-            )
+        if self.same_m and self.sum_n > self.terms[0].m:
+            raise ValueError(f"same-m config {self.canonical()} has sum(n) > m")
 
     @property
     def same_m(self) -> bool:

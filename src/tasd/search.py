@@ -76,7 +76,7 @@ def layer_wise_greedy(
     default stop rule the first violation ends the single pass; with
     ``skip_and_continue`` the pass keeps going past it.
     """
-    gate = threshold * workload.baseline_quality
+    gate = _quality_gate(workload, threshold)
     assignment: Assignment = {}
     for drop, layer_id, cfg in ranked_pairs(workload, menu):
         previous = assignment.get(layer_id)
@@ -103,6 +103,13 @@ def layer_wise_greedy(
     return assignment
 
 
+def _quality_gate(workload, threshold: float) -> float:
+    """threshold x baseline; a NaN or infinite threshold is a ``ValueError``."""
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be a finite number, got {threshold}")
+    return threshold * workload.baseline_quality
+
+
 def uniform_assignment(workload, cfg: TasdConfig) -> Assignment:
     """``cfg`` on every layer of ``workload``; empty when ``cfg`` is dense."""
     return {} if cfg.is_dense else {ly.layer_id: cfg for ly in workload.layers}
@@ -113,20 +120,18 @@ def network_wise_search(
     menu: PatternMenu,
     oracle,
     threshold: float = 0.99,
-    cost=None,
+    *,
+    cost,
     trace: list | None = None,
 ):
     """Try every enumerated config uniformly on all layers; return the
     cheapest one whose quality clears threshold x baseline, with its
-    quality. ``cost(assignment)`` prices a candidate; it defaults to
-    ``workload.total_macs``. Falls back to dense when nothing qualifies.
+    quality. ``cost(assignment)`` prices a candidate, as the cycles of
+    ``hwmodel.workload_cost`` do in the CLI. Falls back to dense when
+    nothing qualifies.
     """
-    cost = cost or workload.total_macs
-    gate = threshold * workload.baseline_quality
-    best_cfg = None
-    best_cost = None
-    best_quality = None
-    dense_quality = None
+    gate = _quality_gate(workload, threshold)
+    best_cfg = best_cost = best_quality = dense_quality = None
     for cfg in enumerate_configs(menu):
         assignment = uniform_assignment(workload, cfg)
         quality = oracle.evaluate(workload, assignment)

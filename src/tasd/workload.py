@@ -18,14 +18,14 @@ import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .approxmm import block_norms
+from .approxmm import ProductError
 from .decomp import RankedMatrix, decompose, drop_metrics
 from .errors import (
+    DegenerateProduct,
     DimensionMismatch,
     MissingCalibration,
     NonFiniteEntry,
@@ -74,6 +74,11 @@ class Workload:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise SchemaError(f"workload name {self.name!r} must be a string")
+        if not _is_number(self.baseline_quality):
+            raise SchemaError(
+                f"baseline_quality must be a finite number, got {self.baseline_quality!r}"
+            )
+        object.__setattr__(self, "baseline_quality", float(self.baseline_quality))
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise SchemaError("workload has no layers")
@@ -86,22 +91,6 @@ class Workload:
             if ly.layer_id == layer_id:
                 return ly
         raise KeyError(layer_id)
-
-    def total_macs(self, assignment: Assignment | None = None) -> int:
-        """Dense MACs scaled per layer by its config coverage (exact
-        rational arithmetic, rounded once at the end)."""
-        assignment = assignment or {}
-        total = Fraction(0)
-        for ly in self.layers:
-            cfg = assignment.get(ly.layer_id)
-            cov = Fraction(1) if cfg is None else _coverage_fraction(cfg)
-            total += Fraction(ly.gemm_m * ly.gemm_n * ly.gemm_k) * cov
-        return round(total)
-
-
-def _coverage_fraction(cfg: TasdConfig) -> Fraction:
-    cov = sum((Fraction(t.n, t.m) for t in cfg.terms), Fraction(0))
-    return min(cov, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +111,6 @@ def load_workload(manifest_path) -> Workload:
         raise SchemaError(f"{manifest_path}: missing key {exc}") from exc
     if not isinstance(raw_layers, list) or not raw_layers:
         raise SchemaError(f"{manifest_path}: 'layers' must be a non-empty list")
-    if not _is_number(baseline):
-        raise SchemaError(f"{manifest_path}: baseline_quality must be a finite number")
 
     base_dir = manifest_path.parent
     layers = []
@@ -153,7 +140,7 @@ def load_workload(manifest_path) -> Workload:
                 calibration_dir=calibration_dir,
             )
         )
-    return Workload(name=name, layers=tuple(layers), baseline_quality=float(baseline))
+    return Workload(name=name, layers=tuple(layers), baseline_quality=baseline)
 
 
 def load_calibration(layer: LayerSpec) -> list[DenseMatrix]:
@@ -180,11 +167,10 @@ def load_calibration(layer: LayerSpec) -> list[DenseMatrix]:
 
 class _Oracle:
     """Per-layer data an oracle keeps between evaluations, in one cache:
-    each weight as a ``RankedMatrix`` (one rank pass per block size), and
-    for the two built-in proxies each layer's calibration samples, side by
-    side, with their reference norms ||W @ B||_F and each (layer, config)
-    score. The cache holds the data of one workload: evaluating another
-    Workload object starts a fresh one.
+    each (layer, config) score of the two built-in proxies, each layer's
+    ``ProductError`` for ``ErrorOracle``, and each weight as a
+    ``RankedMatrix`` for ``CommandOracle``. The cache holds the data of one
+    workload: evaluating another Workload object starts a fresh one.
     """
 
     def __init__(self):
@@ -201,9 +187,6 @@ class _Oracle:
         if key not in self._cache:
             self._cache[key] = make()
         return self._cache[key]
-
-    def _ranked_weight(self, layer: LayerSpec) -> RankedMatrix:
-        return self._cached(("ranked", layer.layer_id), lambda: RankedMatrix(layer.weight))
 
 
 class _ProxyOracle(_Oracle):
@@ -246,27 +229,19 @@ class ErrorOracle(_ProxyOracle):
         return workload.baseline_quality * (1.0 - float(np.mean(scores)))
 
     def _score(self, layer: LayerSpec, cfg: TasdConfig) -> float:
-        samples, widths, norms = self._calibration(layer)
-        residual = self._ranked_weight(layer).residual(cfg)
-        errors = block_norms(residual, samples, widths)
-        return float(np.mean([error / norm for error, norm in zip(errors, norms)]))
+        return float(np.mean(self._calibration(layer).errors(cfg)))
 
-    def _calibration(self, layer: LayerSpec):
-        """The layer's calibration samples side by side (K x total
-        columns), each sample's width, and each reference norm
-        ||W @ sample||_F, loaded and multiplied once."""
+    def _calibration(self, layer: LayerSpec) -> ProductError:
+        """The layer's weight against its calibration samples, side by side
+        (K x total columns), loaded and multiplied once."""
 
         def load():
             samples = load_calibration(layer)
             widths = [sample.shape[1] for sample in samples]
-            stacked = np.hstack(samples)
-            norms = block_norms(layer.weight, stacked, widths)
-            if 0.0 in norms:
-                raise OracleFailure(
-                    f"layer {layer.layer_id!r}: reference product of calibration sample "
-                    f"{norms.index(0.0)} has zero Frobenius norm"
-                )
-            return stacked, widths, norms
+            try:
+                return ProductError(layer.weight, np.hstack(samples), widths)
+            except DegenerateProduct as exc:
+                raise OracleFailure(f"layer {layer.layer_id!r}: {exc}") from exc
 
         return self._cached(("calibration", layer.layer_id), load)
 
@@ -288,6 +263,9 @@ class CommandOracle(_Oracle):
         super().__init__()
         self.command = command
         self.timeout = timeout
+
+    def _ranked_weight(self, layer: LayerSpec) -> RankedMatrix:
+        return self._cached(("ranked", layer.layer_id), lambda: RankedMatrix(layer.weight))
 
     def evaluate(self, workload: Workload, assignment: Assignment) -> float:
         self._follow(workload)

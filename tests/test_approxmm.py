@@ -31,7 +31,9 @@ from tasd import (
     spmm_term,
     tasd_matmul,
 )
-from tasd.approxmm import ERROR_CSV_HEADER, default_error_configs, render_error_csv
+from tasd.approxmm import (
+    ERROR_CSV_HEADER, ProductError, default_error_configs, render_error_csv,
+)
 
 from conftest import nnz, pool_configs, py_matmul, record_calls
 
@@ -338,8 +340,28 @@ class TestRelativeError:
         assert relative_error(a, "2:4", b) == 0.0
 
     def test_degenerate_reference(self):
-        with pytest.raises(DegenerateProduct):
+        with pytest.raises(DegenerateProduct, match="sample 0 has zero"):
             relative_error(np.zeros((2, 4)), "2:4", np.ones((4, 2)))
+
+    @pytest.mark.parametrize("config", ["1:4", "2:4", "2:8+1:8", "2:4+1:8", "4:4"])
+    def test_matches_its_definition(self, config):
+        a = random_matrix(12, 16, 0.6, "normal", seed=3)
+        b = random_matrix(16, 5, 0.8, "normal", seed=4)
+        residual = decompose(a, config).residual
+        expected = float(np.linalg.norm(matmul(residual, b))) / float(np.linalg.norm(matmul(a, b)))
+        assert relative_error(a, config, b) == expected
+
+    @pytest.mark.parametrize("config", ["2:4", "2:8+1:8", "2:4+1:8"])
+    def test_samples_side_by_side_score_as_apart(self, config):
+        a = random_matrix(12, 16, 0.6, "normal", seed=5)
+        samples = [random_matrix(16, w, 0.7, "normal", seed=(6, w)) for w in (3, 1, 6)]
+        scorer = ProductError(a, np.hstack(samples), [3, 1, 6])
+        assert scorer.errors(config) == [relative_error(a, config, b) for b in samples]
+
+    def test_zero_reference_names_the_sample(self):
+        samples = [np.ones((4, 2)), np.zeros((4, 3)), np.ones((4, 1))]
+        with pytest.raises(DegenerateProduct, match="sample 1 has zero"):
+            ProductError(np.ones((2, 4)), np.hstack(samples), [2, 3, 1])
 
     def test_appending_terms_shrinks_residual_norm(self):
         rng = np.random.default_rng(7)
@@ -376,6 +398,11 @@ class TestNonFiniteOperands:
 
 
 class TestErrorSweep:
+    def test_no_seeds_rejected(self):
+        # used to give NaN means and numpy RuntimeWarnings
+        with pytest.raises(ValueError, match="seed"):
+            error_sweep(dims=(8, 8), configs=("2:4",), seeds=[])
+
     def test_default_config_grid(self):
         configs = default_error_configs()
         assert [c.canonical() for c in configs] == [

@@ -11,14 +11,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from conftest import SLOW_SCRIPT, assert_gone
 from tasd import (
+    HwSpec,
     TasdConfig,
     decompose,
     drop_metrics,
+    is_expressible,
     load_assignment,
     load_matrix,
     random_matrix,
@@ -557,6 +559,124 @@ class TestJsonInputFuzz:
         assert [row.split(",")[0] for row in rows] == [*ids, "total"]
         for row in rows:
             assert all(math.isfinite(float(cell)) for cell in row.split(",")[2:])
+
+
+def _csv_text(mat):
+    return "".join(",".join(repr(float(x)) for x in row) + "\n" for row in mat)
+
+
+class TestSearchInputFuzz:
+    """Mutated manifests, hardware specs and calibration files through
+    every ``search`` mode, with the magnitude and error oracles: exit 0
+    with an assignment of the manifest's layers that the target can run,
+    or exit 2 with nothing written. No exception may escape."""
+
+    MANIFEST = {
+        "name": "fuzz",
+        "baseline_quality": 0.9,
+        "layers": [
+            {"id": "L0", "m": 16, "n": 8, "k": 8, "weight": "w0.tasd1",
+             "calibration_dir": "cal0"},
+            {"id": "L1", "m": 8, "n": 4, "k": 16, "weight": "w1.tasd1",
+             "calibration_dir": "cal1"},
+        ],
+    }
+    # what one calibration sample file is replaced by: a sample with one
+    # row too many, an all-zero sample, the sample as CSV text, ragged or
+    # NaN CSV text; "empty" removes every sample of the layer
+    CALIBRATION = (None, "rows", "zero", "csv", "ragged", "nan", "empty")
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("search-fuzz")
+        for i, layer in enumerate(self.MANIFEST["layers"]):
+            shape = (layer["m"], layer["k"])
+            save_matrix(random_matrix(*shape, 0.6, "uniform", seed=i), root / layer["weight"])
+        return root
+
+    def write_calibration(self, root, mutation, layer, sample):
+        samples = {}
+        for i, entry in enumerate(self.MANIFEST["layers"]):
+            cal = root / entry["calibration_dir"]
+            cal.mkdir(exist_ok=True)
+            for stale in cal.iterdir():
+                stale.unlink()
+            samples[i] = [
+                random_matrix(entry["k"], width, 0.7, "uniform", seed=(i, width))
+                for width in (3, 2)
+            ]
+            for s, mat in enumerate(samples[i]):
+                save_matrix(mat, cal / f"s{s}.tasd1")
+        path = root / self.MANIFEST["layers"][layer]["calibration_dir"] / f"s{sample}.tasd1"
+        mat = samples[layer][sample]
+        if mutation == "rows":
+            save_matrix(np.vstack([mat, mat[:1]]), path)
+        elif mutation == "zero":
+            save_matrix(np.zeros(mat.shape), path)
+        elif mutation == "csv":
+            path.write_text(_csv_text(mat))
+        elif mutation == "ragged":
+            path.write_text(_csv_text(mat) + "1.0\n")
+        elif mutation == "nan":
+            text = _csv_text(mat)
+            path.write_text("nan" + text[text.index(","):])
+        elif mutation == "empty":
+            for stale in path.parent.iterdir():
+                stale.unlink()
+
+    @given(data=st.data(), mode=st.sampled_from(["network", "greedy", "activation"]),
+           oracle=st.sampled_from(["magnitude", "error"]),
+           threshold=st.sampled_from(["0", "0.9", "1"]),
+           mutation=st.sampled_from(CALIBRATION), layer=st.integers(0, 1),
+           sample=st.integers(0, 1))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_0_with_a_runnable_assignment_or_exit_2(
+        self, root, data, mode, oracle, threshold, mutation, layer, sample
+    ):
+        docs = {"manifest": self.MANIFEST, "hw": vegeta_m8().to_dict()}
+        for _ in range(data.draw(st.integers(0, 2))):
+            name = data.draw(st.sampled_from(sorted(docs)))
+            path = data.draw(st.sampled_from(list(_paths(docs[name]))))
+            op = data.draw(st.sampled_from(["set", "delete", "zero", "string", "wrap", "extra"]))
+            arg = data.draw(st.sampled_from(REPLACEMENTS)) if op == "set" else None
+            docs[name] = _mutated(docs[name], path, op, arg)
+        for name, doc in docs.items():
+            (root / f"{name}.json").write_text(json.dumps(doc))
+        self.write_calibration(root, mutation, layer, sample)
+        out, log_path = root / "a.json", root / "trace.jsonl"
+        out.unlink(missing_ok=True)
+        log_path.unlink(missing_ok=True)
+        code = main(["search", "--workload", str(root / "manifest.json"),
+                     "--hw", str(root / "hw.json"), "--mode", mode, "--oracle", oracle,
+                     "--threshold", threshold, "--out", str(out), "--log", str(log_path)])
+        event(f"{mode} exit {code}")
+        if code == 2:
+            assert not out.exists() and not log_path.exists()
+            return
+        assert code == 0
+        assignment = load_assignment(out)
+        ids = [entry["id"] for entry in docs["manifest"]["layers"]]
+        assert set(assignment) <= set(ids)
+        menu = HwSpec.from_dict(docs["hw"]).menu
+        assert all(is_expressible(cfg, menu) for cfg in assignment.values())
+        if mode == "network":
+            assert len(set(assignment.values())) <= 1
+        for line in log_path.read_text().splitlines():
+            assert isinstance(json.loads(line), dict)
+
+    @pytest.mark.parametrize("mode", ["network", "greedy"])
+    def test_all_zero_sample_is_data_error(self, root, mode):
+        # network search scores every layer, and greedy's first pair is L1's
+        self.write_calibration(root, "zero", 1, 1)
+        (root / "manifest.json").write_text(json.dumps(self.MANIFEST))
+        out = root / "a.json"
+        out.unlink(missing_ok=True)
+        proc = run_cli("search", "--workload", root / "manifest.json", "--hw", "vegeta-m8",
+                       "--mode", mode, "--oracle", "error", "--out", out)
+        assert proc.returncode == 2
+        assert "layer 'L1': reference product of sample 1 has zero" in proc.stderr
+        assert not out.exists()
 
 
 class TestPatterns:

@@ -1,6 +1,7 @@
 """Analytical latency/energy model of the structured-sparse target."""
 
 import dataclasses
+import json
 from pathlib import Path
 
 import pytest
@@ -47,9 +48,6 @@ def custom_hw(**overrides):
         pe_cols=16,
         tasd_units_per_ttc=16,
         blocks_out_per_cycle=2,
-        rf_bytes=256,
-        l1_bytes=64 * 1024,
-        l2_bytes=512 * 1024,
         elem_bytes=2,
         energy_pj=dict(BASE_ENERGY),
     )
@@ -119,6 +117,20 @@ class TestHwSpec:
             assert HwSpec.from_json(path) == BUILTIN_SPECS[name]()
 
 
+    def test_spec_with_retired_capacity_keys_prices_the_same(self, tmp_path):
+        # rf_bytes, l1_bytes and l2_bytes were fields that no cost read; spec
+        # files that still carry them load as the spec without them
+        path = tmp_path / "hw.json"
+        path.write_text(json.dumps(
+            {**HW.to_dict(), "rf_bytes": 256, "l1_bytes": 65536, "l2_bytes": 524288}
+        ))
+        old = HwSpec.from_json(path)
+        assert old == HW
+        wl = three_layer_workload()
+        assignment = {"L0": CFG("4:8+1:8"), "L2": CFG("2:8")}
+        assert workload_cost(old, wl, assignment) == workload_cost(HW, wl, assignment)
+
+
 class TestHwSpecNumbers:
     """A spec file's values are taken as they are or refused with
     SchemaError: no NaN or Inf energy reaches the cost, and no count is
@@ -139,7 +151,7 @@ class TestHwSpecNumbers:
         [
             ("m", 8.7),
             ("pe_rows", 16.5),
-            ("l2_bytes", "524288"),
+            ("ttc_count", "4"),
             ("max_terms", True),
             ("elem_bytes", True),
             ("base_patterns", [1, 2.5, 4]),

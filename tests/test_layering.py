@@ -3,12 +3,14 @@ and the names the benchmark reads: all read from the source with ``ast``,
 so a deferred import inside a function counts as an edge too."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
 
 import tasd.workload
 from tasd._parallel import map_ordered, resolve_workers
+from tasd.hwmodel import HwSpec
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tasd"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
@@ -208,3 +210,23 @@ def test_only_concrete_oracles_define_evaluate():
         if inspect.isclass(cls) and cls.__module__ == "tasd.workload" and "evaluate" in vars(cls)
     }
     assert defining == {"MagnitudeOracle", "ErrorOracle", "CommandOracle"}
+
+
+def test_every_hwspec_field_is_read():
+    # a field that no cost reads is a setting that changes nothing; the
+    # checks and the (de)serialization touch every field, so they do not count
+    exempt = {"__post_init__", "to_dict", "from_dict"}
+    read = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            return
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in ("hw", "self")):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse((PACKAGE / "hwmodel.py").read_text()))
+    assert {f.name for f in dataclasses.fields(HwSpec)} - read == set()
+

@@ -1,5 +1,6 @@
 """Config enumeration for a pattern menu and the selection algorithms."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -37,6 +38,7 @@ from tasd import (
     sparsity_select,
     stc_m4,
     vegeta_m8,
+    workload_cost,
 )
 from tasd.search import ranked_pairs
 
@@ -313,6 +315,18 @@ def toy_workload(seed=0, densities=(0.2, 0.6, 1.0)):
     return Workload("toy", tuple(layers), baseline_quality=1.0)
 
 
+def cycles_on(menu, workload):
+    """The CLI's network-search cost: modeled cycles, here on a one-core
+    target that runs every config of ``menu``."""
+    hw = dataclasses.replace(
+        stc_m4(), m=menu.m, base_patterns=menu.base_patterns, max_terms=menu.max_terms
+    )
+    return lambda assignment: workload_cost(hw, workload, assignment)[0].cycles
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
 class TestRankedPairs:
     def test_sorted_by_drop_then_coverage(self):
         wl = toy_workload()
@@ -433,6 +447,13 @@ class TestLayerWiseGreedy:
                 assert oracle.evaluate(wl, assignment) >= threshold
 
 
+    @pytest.mark.parametrize("threshold", NON_FINITE)
+    def test_non_finite_threshold_rejected(self, threshold):
+        # NaN and +Inf used to configure nothing, and -Inf applied every pair
+        with pytest.raises(ValueError, match="threshold"):
+            layer_wise_greedy(toy_workload(), VEGETA_MENU, MagnitudeOracle(), threshold)
+
+
 class TestNetworkWiseSearch:
     def test_picks_cheapest_qualifying_uniform_config(self):
         menu = PatternMenu(4, frozenset({1, 2, 3}), 1)
@@ -445,7 +466,9 @@ class TestNetworkWiseSearch:
                 cov = min(c.coverage for c in assignment.values())
                 return 1.0 if cov >= 0.75 else 0.5
 
-        cfg, quality = network_wise_search(wl, menu, CoverageOracle(), threshold=0.99)
+        cfg, quality = network_wise_search(
+            wl, menu, CoverageOracle(), threshold=0.99, cost=cycles_on(menu, wl)
+        )
         assert cfg.canonical() == "3:4"
         assert quality == 1.0
 
@@ -457,7 +480,9 @@ class TestNetworkWiseSearch:
             def evaluate(self, workload, assignment):
                 return 1.0 if not assignment else 0.0
 
-        cfg, quality = network_wise_search(wl, menu, RejectSparse(), threshold=0.99)
+        cfg, quality = network_wise_search(
+            wl, menu, RejectSparse(), threshold=0.99, cost=cycles_on(menu, wl)
+        )
         assert cfg.is_dense
         assert quality == wl.baseline_quality
 
@@ -469,7 +494,9 @@ class TestNetworkWiseSearch:
             def evaluate(self, workload, assignment):
                 return 0.5
 
-        cfg, quality = network_wise_search(wl, menu, RejectAll(), threshold=0.99)
+        cfg, quality = network_wise_search(
+            wl, menu, RejectAll(), threshold=0.99, cost=cycles_on(menu, wl)
+        )
         assert cfg.is_dense
         assert quality == 0.5  # dense quality reported even below the gate
 
@@ -478,9 +505,23 @@ class TestNetworkWiseSearch:
         wl = toy_workload()
         trace = []
         network_wise_search(
-            wl, menu, MagnitudeOracle(), threshold=0.0, trace=trace
+            wl, menu, MagnitudeOracle(), threshold=0.0, cost=cycles_on(menu, wl), trace=trace
         )
         assert [t["config"] for t in trace] == ["2:4", "4:4"]
+
+    def test_cost_is_required(self):
+        # the MAC count it used to default to was a second cost model
+        with pytest.raises(TypeError, match="cost"):
+            network_wise_search(toy_workload(), VEGETA_MENU, MagnitudeOracle())
+
+    @pytest.mark.parametrize("threshold", NON_FINITE)
+    def test_non_finite_threshold_rejected(self, threshold):
+        # NaN and +Inf used to return dense, and -Inf the cheapest config
+        wl = toy_workload()
+        with pytest.raises(ValueError, match="threshold"):
+            network_wise_search(
+                wl, VEGETA_MENU, MagnitudeOracle(), threshold, cost=cycles_on(VEGETA_MENU, wl)
+            )
 
 
 # ---------------------------------------------------------------------------
