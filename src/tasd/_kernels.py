@@ -12,7 +12,13 @@ both addends are. The product is a zero times a finite number (the
 public entry points refuse NaN and Inf), so it is +-0.0, and adding
 +-0.0 leaves any accumulator other than -0.0 unchanged. The dense matmul
 and the compressed product of a decoded term therefore agree bit for
-bit.
+bit. This needs a zeroed ``out``: every caller passes one.
+
+A column step forms its products as an exact outer product,
+``einsum("i,j->ij")``, which writes each one as ``0 + a*b``: the same
+correctly rounded product, except that -0.0 comes out +0.0. Since the
+accumulator is never -0.0, adding +0.0 in place of -0.0 changes no bit.
+Nothing here calls BLAS, whose summation order is not pinned.
 """
 
 from __future__ import annotations
@@ -91,9 +97,12 @@ def _accumulate(steps, b, out):
 def _scaled_rows(column, b, k, product):
     """product = column[:, None] * b[k], written in place. Every index is
     in range (from ``matmul_into``, or packed indices checked before
-    ``spmm_into``), so the gather need not check it."""
+    ``spmm_into``), so the gather need not check it. One ``k`` (a column
+    step) is an outer product: ``einsum`` skips the per-row cost of a
+    broadcast multiply, and its +0.0 for a -0.0 product changes no sum
+    (module docstring). Per-row ``k`` gathers, then multiplies."""
     if isinstance(k, int):
-        np.multiply(column[:, None], b[k], out=product)
+        np.einsum("i,j->ij", column, b[k], out=product)
     else:
         np.take(b, k, axis=0, out=product, mode="clip")
         np.multiply(column[:, None], product, out=product)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from ._parallel import map_ordered
+from ._parallel import map_ordered, resolve_workers
 from .decomp import Decomposition, RankedMatrix, random_matrix
 from .errors import DegenerateProduct, DimensionMismatch
 from .matrix import (
@@ -116,7 +116,11 @@ def error_sweep(
     A is uniform [0,1) masked to the requested sparsity; B is dense
     uniform [0,1). One (A, B) pair is drawn per (sparsity, seed) and
     shared by every config, so configs are compared on identical draws.
-    Each draw is scored by one ``ProductError``, one config at a time.
+    Draws go in chunks of one per worker. The workers first build each
+    draw's ``ProductError``, with its reference product and one rank pass
+    per block size the configs use, then score one (draw, config) cell
+    per task, so a dense draw's products spread over every worker. The
+    cells only read the draws.
     """
     rows, cols = dims
     sparsities = list(a_sparsities)
@@ -128,28 +132,44 @@ def error_sweep(
         raise ValueError("error_sweep needs at least one seed")
 
     draws = [(si, s) for si in range(len(sparsities)) for s in seeds]
+    ms = dict.fromkeys(cfg.terms[0].m for cfg in configs if cfg.same_m)
 
-    def run_draw(draw):
+    def score_draw(draw):
         si, seed = draw
         a = random_matrix(
             rows, cols, 1.0 - sparsities[si], "uniform", seed=(master_seed, 0, si, seed)
         )
         b = random_matrix(cols, cols, 1.0, "uniform", seed=(master_seed, 1, si, seed))
-        errors = ProductError(a, b).errors
-        return [errors(cfg)[0] for cfg in configs]
+        scorer = ProductError(a, b)
+        for m in ms:
+            scorer.ranked.ranks(m)
+        return scorer
 
-    results = dict(zip(draws, map_ordered(run_draw, draws, workers)))
+    count = resolve_workers(workers)
+
+    def score_chunk(chunk):
+        """Errors of the chunk's (draw, config) cells, draw by draw. Only one
+        chunk's draws are held at a time: they are freed on return."""
+        scorers = map_ordered(score_draw, chunk, count)
+        cells = [(scorer, cfg) for scorer in scorers for cfg in configs]
+        return map_ordered(lambda cell: cell[0].errors(cell[1])[0], cells, count)
+
+    errors = []
+    for lo in range(0, len(draws), count):
+        errors += score_chunk(draws[lo:lo + count])
+    # errs[si, ci]: the cell's errors in seed order, contiguous like the
+    # per-cell arrays they replace, so mean and std round as before
+    errs = np.reshape(errors, (len(sparsities), len(seeds), -1)).transpose(0, 2, 1).copy()
     table = []
     for si, sp in enumerate(sparsities):
         for ci, cfg in enumerate(configs):
-            errs = np.asarray([results[(si, seed)][ci] for seed in seeds])
             table.append(
                 {
                     "a_sparsity": sp,
                     "config": cfg.canonical(),
                     "approx_sparsity": cfg.approximated_sparsity,
-                    "mean_rel_error": float(errs.mean()),
-                    "std_rel_error": float(errs.std()),
+                    "mean_rel_error": float(errs[si, ci].mean()),
+                    "std_rel_error": float(errs[si, ci].std()),
                     "seeds": len(seeds),
                 }
             )

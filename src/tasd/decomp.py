@@ -99,7 +99,9 @@ def block_ranks(mat, m: int) -> np.ndarray:
 
 class RankedMatrix:
     """A matrix and its magnitude ranks, one ``block_ranks`` pass per block
-    size, taken when a same-m config first needs it.
+    size, taken when ``ranks`` or a same-m config first needs it. The cache
+    is not locked: threads may share an instance once it holds every block
+    size they need.
 
     Extraction never takes an exact zero and moves entries in rank order,
     so a same-m series keeps the non-zeros ranked below its sum_n. Each
@@ -117,12 +119,15 @@ class RankedMatrix:
         every other entry, -0.0 included, stays."""
         if not cfg.same_m:
             return decompose(self.mat, cfg).residual
-        m = cfg.terms[0].m
+        kept = (self.ranks(cfg.terms[0].m) < cfg.sum_n) & (self.mat != 0.0)
+        return freeze(np.where(kept, 0.0, self.mat))
+
+    def ranks(self, m: int) -> np.ndarray:
+        """``block_ranks(mat, m)``, computed once."""
         ranks = self._ranks.get(m)
         if ranks is None:
             ranks = self._ranks[m] = block_ranks(self.mat, m)
-        kept = (ranks < cfg.sum_n) & (self.mat != 0.0)
-        return freeze(np.where(kept, 0.0, self.mat))
+        return ranks
 
     def approximation(self, cfg: TasdConfig) -> DenseMatrix:
         """``approximate(mat, cfg)``, by the same rule: ``mat - residual``

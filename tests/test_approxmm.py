@@ -2,6 +2,7 @@
 distributivity identity, and the relative-error sweep."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -126,6 +127,43 @@ def row_width_pairs(draw):
     return a, b
 
 
+# every edge case of one product: signed zeros (a negative times +0.0 is
+# -0.0), a subnormal result (1e-160 squared) and overflow to +-inf (1e300
+# squared); sums of those infinities can be NaN
+OUTER_SPECIAL = (0.0, -0.0, -1.5, 1e-160, -1e-160, 1e300, -1e300)
+
+
+@st.composite
+def column_step_pairs(draw):
+    """(A, B) that the dense matmul runs on column steps: one row of A is
+    more than half dense. A mixes columns past the one-third rule (full
+    updates) with sparser ones (row updates), and both operands draw from
+    ``OUTER_SPECIAL``."""
+    rows = draw(st.integers(6, 40))
+    inner = draw(st.integers(2, 12))
+    cols = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def entries(shape, nonzero=False):
+        values = rng.normal(size=shape)
+        special = rng.random(shape) < 0.3
+        values[special] = rng.choice(OUTER_SPECIAL, size=int(special.sum()))
+        if nonzero:
+            values[values == 0.0] = -2.5
+        return values
+
+    # a sparse column stays at most a third full after the dense row's
+    # entry; columns 0 (full) and 1 (sparse) hold no zero on their support
+    counts = rng.choice((rows, rows // 3 + 2, max(1, rows // 3 - 1), 0), size=inner)
+    counts[:2] = rows, max(1, rows // 3 - 1)
+    a = np.where(rng.random((rows, inner)) < 0.5, 0.0, -0.0)
+    for k, count in enumerate(counts):
+        a[rng.permutation(rows)[:count], k] = entries(count, nonzero=k < 2)
+    dense = rng.permutation(inner)[: inner // 2 + 1]
+    a[rng.integers(rows), dense] = entries(dense.size, nonzero=True)
+    return a, entries((inner, cols))
+
+
 class TestMatmul:
     def test_identity(self):
         mat = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -154,6 +192,16 @@ class TestMatmul:
     def test_bitwise_either_side_of_row_steps(self, pair):
         a, b = pair
         assert matmul(a, b).tobytes() == py_matmul(a, b).tobytes()
+
+    @given(column_step_pairs())
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_on_column_steps(self, pair):
+        a, b = pair
+        nnz = np.count_nonzero(a, axis=0)
+        assert 2 * np.count_nonzero(a, axis=1).max() > a.shape[1]
+        assert (3 * nnz > a.shape[0]).any() and ((nnz > 0) & (3 * nnz <= a.shape[0])).any()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert matmul(a, b).tobytes() == py_matmul(a, b).tobytes()
 
     @staticmethod
     def count_steps(monkeypatch) -> list[int]:
@@ -456,6 +504,31 @@ class TestErrorSweep:
         error_sweep((16, 24), (0.2, 0.8), seeds=range(2), workers=1)
         assert extractions == []
         assert [m for _, m in passes] == [4, 8] * (2 * 2)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_one_rank_pass_per_block_size_and_one_product_per_cell(
+        self, monkeypatch, workers
+    ):
+        # draws are built before their cells are scored: a cell only reads
+        # its draw's ranks, so no pass runs twice whichever worker gets it,
+        # even with threads switching every microsecond. The mixed-m config
+        # is decomposed and takes no rank pass
+        configs = ("1:4", "3:4", "2:8", "7:8", "2:4+2:8")
+        kwargs = dict(dims=(16, 24), a_sparsities=(0.2, 0.8), configs=configs, seeds=range(3))
+        expected = error_sweep(**kwargs, workers=1)
+        passes = record_calls(monkeypatch, tasd.decomp, "block_ranks")
+        products = record_calls(monkeypatch, tasd._kernels, "matmul_into")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            table = error_sweep(**kwargs, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert table == expected
+        draws = 2 * 3
+        assert sorted(m for _, m in passes) == [4] * draws + [8] * draws
+        assert len({(mat.tobytes(), m) for mat, m in passes}) == 2 * draws
+        assert len(products) == draws * (1 + len(configs))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_golden_csv_bytes(self, workers):

@@ -27,6 +27,7 @@ from tasd import (
     save_matrix,
     vegeta_m8,
 )
+from tasd._parallel import resolve_workers
 from tasd.cli import main
 from tasd.hwmodel import COST_CSV_HEADER
 
@@ -198,6 +199,27 @@ class TestAnalyze:
         proc = run_cli("analyze", "--sweep", "matmul-error", "--num-seeds", 1,
                        check=True)
         assert proc.stdout.startswith("a_sparsity,")
+
+    @pytest.mark.parametrize("sweep", ["appendixA", "matmul-error"])
+    @pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-3"])
+    def test_thread_count_must_be_a_positive_integer(
+        self, tmp_path, monkeypatch, capsys, sweep, threads
+    ):
+        # "abc" and "2.5" failed with a bare int() message; 0 and -3 ran on
+        # one worker
+        monkeypatch.setenv("TASD_THREADS", threads)
+        out = tmp_path / "sweep.csv"
+        assert main(["analyze", "--sweep", sweep, "--num-seeds", "1", "--out", str(out)]) == 2
+        assert f"TASD_THREADS must be a positive integer, got '{threads}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_thread_count_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv("TASD_THREADS", " 3 ")
+        assert resolve_workers() == 3
+        monkeypatch.setenv("TASD_THREADS", "0")
+        assert resolve_workers(2) == 2  # an explicit count never reads it
+        monkeypatch.setenv("TASD_THREADS", "")
+        assert resolve_workers() >= 1
 
 
 class TestSearch:

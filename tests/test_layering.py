@@ -230,3 +230,26 @@ def test_every_hwspec_field_is_read():
     visit(ast.parse((PACKAGE / "hwmodel.py").read_text()))
     assert {f.name for f in dataclasses.fields(HwSpec)} - read == set()
 
+
+def test_kernels_use_no_unpinned_product():
+    # BLAS does not pin its summation order, so the kernels use no matrix
+    # product operator or dot-like call, and einsum only with a literal
+    # subscript string that sums no index, without its BLAS-backed optimize
+    unpinned = {"dot", "vdot", "matmul", "inner", "tensordot"}
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "_kernels.py").read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"@ on line {node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr in unpinned:
+            found.append(f"{node.attr} on line {node.lineno}")
+        elif isinstance(node, ast.Call) and "einsum" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            spec = node.args[0] if node.args else None
+            literal = isinstance(spec, ast.Constant) and isinstance(spec.value, str)
+            inputs, _, output = spec.value.partition("->") if literal else ("", "", "")
+            if (not literal or "->" not in spec.value or "." in spec.value
+                    or set(inputs) - {","} - set(output)
+                    or any(k.arg == "optimize" for k in node.keywords)):
+                found.append(f"einsum on line {node.lineno}")
+    assert found == []
