@@ -23,7 +23,6 @@ from .decomp import (
     RankedMatrix,
     approximate,
     decompose,
-    decompose_all,
     drop_metrics,
     random_matrix,
     render_sweep_csv,

@@ -109,18 +109,17 @@ def error_sweep(
     configs=None,
     seeds=range(20),
     master_seed: int = 0,
-    workers: int | None = None,
 ) -> list[dict]:
     """Mean/std relative product error per (A sparsity, config) cell.
 
     A is uniform [0,1) masked to the requested sparsity; B is dense
     uniform [0,1). One (A, B) pair is drawn per (sparsity, seed) and
     shared by every config, so configs are compared on identical draws.
-    Draws go in chunks of one per worker. The workers first build each
-    draw's ``ProductError``, with its reference product and one rank pass
-    per block size the configs use, then score one (draw, config) cell
-    per task, so a dense draw's products spread over every worker. The
-    cells only read the draws.
+    Draws go in chunks of one per worker (``TASD_THREADS`` sets the
+    count). The workers first build each draw's ``ProductError``, with
+    its reference product and one rank pass per block size the configs
+    use, then score one (draw, config) cell per task, so a dense draw's
+    products spread over every worker. Cells only read the rank caches.
     """
     rows, cols = dims
     sparsities = list(a_sparsities)
@@ -145,7 +144,7 @@ def error_sweep(
             scorer.ranked.ranks(m)
         return scorer
 
-    count = resolve_workers(workers)
+    count = resolve_workers()
 
     def score_chunk(chunk):
         """Errors of the chunk's (draw, config) cells, draw by draw. Only one

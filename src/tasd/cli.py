@@ -9,6 +9,7 @@ count follows TASD_THREADS.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -139,10 +140,7 @@ def cmd_decompose(args) -> int:
             "rows": d.residual.shape[0],
             "cols": d.residual.shape[1],
             "term_nnz": [t.nnz for t in d.terms],
-            "dropped_nnz_fraction": metrics.dropped_nnz_fraction,
-            "dropped_magnitude_fraction": metrics.dropped_magnitude_fraction,
-            "retained_magnitude_fraction": metrics.retained_magnitude_fraction,
-            "mse": metrics.mse,
+            **dataclasses.asdict(metrics),
         },
         metrics_path,
     )

@@ -6,12 +6,11 @@ the *previous* residual (ties keep the lowest column). Entries are moved,
 never altered, so the terms plus the residual always rebuild the source
 bit for bit.
 
-Two consequences save work when one matrix meets many configs.
-``decompose_all`` extracts a series prefix that several configs share
-once. And a same-m series of total width sum_n keeps exactly the
-non-zeros whose magnitude rank in their block is below sum_n, so a
-``RankedMatrix`` gives every same-m residual from one stable sort per
-block size.
+A ``RankedMatrix`` holds everything derived from one matrix, so that
+work is shared when the matrix meets many configs: each series prefix is
+extracted once, and, since a same-m series of total width sum_n keeps
+exactly the non-zeros whose magnitude rank in their block is below sum_n,
+every same-m residual comes from one stable sort per block size.
 """
 
 from __future__ import annotations
@@ -57,24 +56,7 @@ class DropMetrics:
 def decompose(mat, config) -> Decomposition:
     """Apply the series left to right, each term extracting from the last
     residual."""
-    return decompose_all(mat, [config])[0]
-
-
-def decompose_all(mat, configs) -> list[Decomposition]:
-    """``decompose(mat, c)`` for each config, extracting each series prefix
-    once: the configs are walked as a trie keyed by term prefix, so
-    ``2:4``, ``2:4+2:8`` and ``2:4+2:8+2:16`` take three extractions."""
-    # term prefix -> (its last term, the residual it leaves)
-    steps = {(): (None, as_matrix(mat))}
-    out = []
-    for cfg in map(config_of, configs):
-        prefixes = [cfg.terms[: i + 1] for i in range(len(cfg.terms))]
-        for prefix in prefixes:
-            if prefix not in steps:
-                steps[prefix] = extract_term(steps[prefix[:-1]][1], prefix[-1])
-        terms = tuple(steps[prefix][0] for prefix in prefixes)
-        out.append(Decomposition(cfg, terms, steps[cfg.terms][1]))
-    return out
+    return RankedMatrix(mat).decompose(config)
 
 
 def approximate(mat, config) -> DenseMatrix:
@@ -98,27 +80,44 @@ def block_ranks(mat, m: int) -> np.ndarray:
 
 
 class RankedMatrix:
-    """A matrix and its magnitude ranks, one ``block_ranks`` pass per block
-    size, taken when ``ranks`` or a same-m config first needs it. The cache
-    is not locked: threads may share an instance once it holds every block
-    size they need.
+    """A matrix and the series work derived from it, cached on first use:
+    each series prefix's extraction (``decompose``) and one ``block_ranks``
+    pass per block size (``ranks``). The caches are not locked: threads may
+    share an instance once it holds every block size they need, and two
+    that decompose one uncached prefix at once both extract it, to the
+    same bytes.
 
     Extraction never takes an exact zero and moves entries in rank order,
     so a same-m series keeps the non-zeros ranked below its sum_n. Each
     residual or approximation is built on request and equals, byte for
     byte, the one from ``decompose`` or ``approximate``; a mixed-m
-    residual still comes from ``decompose``.
+    residual comes from the prefix cache.
     """
 
     def __init__(self, mat):
         self.mat = as_matrix(mat)
         self._ranks: dict[int, np.ndarray] = {}
+        # term prefix -> (its last term, the residual it leaves)
+        self._steps = {(): (None, self.mat)}
+
+    def decompose(self, config) -> Decomposition:
+        """``decompose(mat, config)``; each series prefix is extracted once
+        per instance, so ``2:4``, ``2:4+2:8`` and ``2:4+2:8+2:16`` take
+        three extractions."""
+        cfg = config_of(config)
+        steps = self._steps
+        prefixes = [cfg.terms[: i + 1] for i in range(len(cfg.terms))]
+        for prefix in prefixes:
+            if prefix not in steps:
+                steps[prefix] = extract_term(steps[prefix[:-1]][1], prefix[-1])
+        terms = tuple(steps[prefix][0] for prefix in prefixes)
+        return Decomposition(cfg, terms, steps[cfg.terms][1])
 
     def residual(self, cfg: TasdConfig) -> DenseMatrix:
         """``decompose(mat, cfg).residual``; kept entries become +0.0 and
         every other entry, -0.0 included, stays."""
         if not cfg.same_m:
-            return decompose(self.mat, cfg).residual
+            return self.decompose(cfg).residual
         kept = (self.ranks(cfg.terms[0].m) < cfg.sum_n) & (self.mat != 0.0)
         return freeze(np.where(kept, 0.0, self.mat))
 
@@ -189,7 +188,6 @@ def sweep_synthetic(
     configs,
     seeds,
     master_seed: int = 0,
-    workers: int | None = None,
 ) -> list[dict]:
     """Drop metrics over the (density, distribution, config, seed) grid.
 
@@ -197,7 +195,8 @@ def sweep_synthetic(
     by every config, so series can be compared on identical draws; a
     series prefix that configs share is extracted once per draw. The
     cell seed is SeedSequence((master_seed, density_idx, dist_idx, seed)).
-    Rows come back sorted by the grid key, independent of worker count.
+    Rows come back sorted by the grid key, independent of the worker
+    count, which ``TASD_THREADS`` sets.
     """
     rows, cols = dims
     densities = list(densities)
@@ -221,9 +220,10 @@ def sweep_synthetic(
             distributions[ki],
             seed=(master_seed, di, ki, seed),
         )
-        return [drop_metrics(d) for d in decompose_all(mat, configs)]
+        ranked = RankedMatrix(mat)
+        return [drop_metrics(ranked.decompose(cfg)) for cfg in configs]
 
-    results = dict(zip(draws, map_ordered(run_draw, draws, workers)))
+    results = dict(zip(draws, map_ordered(run_draw, draws)))
     table = []
     for di, density in enumerate(densities):
         for ki, dist in enumerate(distributions):

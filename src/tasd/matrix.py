@@ -222,9 +222,10 @@ def enumerate_configs(menu: PatternMenu) -> list[TasdConfig]:
     single term.
     """
     # combinations come fewest terms first, and largest first within a
-    # length, so the first one seen for a total is the one to keep
+    # length, so the first one seen for a total is the one to keep. No
+    # more than m // min(base) terms fit in m
     best = {menu.m: (menu.m,)}
-    for r in range(1, menu.max_terms + 1):
+    for r in range(1, min(menu.max_terms, menu.m // min(menu.base_patterns)) + 1):
         for combo in combinations_with_replacement(
             sorted(menu.base_patterns, reverse=True), r
         ):

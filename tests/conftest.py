@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 import textwrap
 import time
 
@@ -145,8 +146,10 @@ def nnz(arr) -> int:
 
 
 def record_calls(monkeypatch, owner, name) -> list[tuple]:
-    """Wrap ``owner.name`` for the rest of the test; the returned list gets
-    the positional arguments of each call, in call order."""
+    """Wrap ``owner.name`` for the rest of the test, in every tasd module
+    that holds it (the package binds names with ``from .x import y``); the
+    returned list gets the positional arguments of each call, in call
+    order."""
     calls = []
     fn = getattr(owner, name)
 
@@ -154,7 +157,11 @@ def record_calls(monkeypatch, owner, name) -> list[tuple]:
         calls.append(args)
         return fn(*args)
 
-    monkeypatch.setattr(owner, name, recorded)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "tasd" or mod_name.startswith("tasd."):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, recorded)
     return calls
 
 

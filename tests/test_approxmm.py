@@ -457,7 +457,7 @@ class TestErrorSweep:
             f"{n}:4" for n in range(1, 5)
         ] + [f"{n}:8" for n in range(1, 9)]
 
-    def test_table_shape_and_determinism(self):
+    def test_table_shape_and_determinism(self, monkeypatch):
         kwargs = dict(
             dims=(32, 32),
             a_sparsities=(0.2, 0.8),
@@ -468,7 +468,8 @@ class TestErrorSweep:
         assert len(table) == 2 * 2
         assert all(r["seeds"] == 3 for r in table)
         assert table == error_sweep(**kwargs)
-        assert table == error_sweep(**kwargs, workers=4)
+        monkeypatch.setenv("TASD_THREADS", "4")
+        assert table == error_sweep(**kwargs)
 
     def test_full_coverage_config_has_zero_error(self):
         table = error_sweep(
@@ -499,9 +500,10 @@ class TestErrorSweep:
         assert cells[5] == "2"
 
     def test_default_grid_ranks_twice_per_draw_and_never_extracts(self, monkeypatch):
+        monkeypatch.setenv("TASD_THREADS", "1")
         extractions = record_calls(monkeypatch, tasd._kernels, "extract_term_blocks")
         passes = record_calls(monkeypatch, tasd.decomp, "block_ranks")
-        error_sweep((16, 24), (0.2, 0.8), seeds=range(2), workers=1)
+        error_sweep((16, 24), (0.2, 0.8), seeds=range(2))
         assert extractions == []
         assert [m for _, m in passes] == [4, 8] * (2 * 2)
 
@@ -515,13 +517,15 @@ class TestErrorSweep:
         # is decomposed and takes no rank pass
         configs = ("1:4", "3:4", "2:8", "7:8", "2:4+2:8")
         kwargs = dict(dims=(16, 24), a_sparsities=(0.2, 0.8), configs=configs, seeds=range(3))
-        expected = error_sweep(**kwargs, workers=1)
+        monkeypatch.setenv("TASD_THREADS", "1")
+        expected = error_sweep(**kwargs)
+        monkeypatch.setenv("TASD_THREADS", str(workers))
         passes = record_calls(monkeypatch, tasd.decomp, "block_ranks")
         products = record_calls(monkeypatch, tasd._kernels, "matmul_into")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            table = error_sweep(**kwargs, workers=workers)
+            table = error_sweep(**kwargs)
         finally:
             sys.setswitchinterval(interval)
         assert table == expected
@@ -531,12 +535,11 @@ class TestErrorSweep:
         assert len(products) == draws * (1 + len(configs))
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_golden_csv_bytes(self, workers):
+    def test_golden_csv_bytes(self, monkeypatch, workers):
         # recorded before the products learned to skip zero operands; any
         # change of summation order shows here. The error norms go through
         # the BLAS dot product, so another BLAS build may round them apart
-        table = error_sweep(
-            (64, 64), (0.2, 0.8), seeds=range(2), master_seed=3, workers=workers
-        )
+        monkeypatch.setenv("TASD_THREADS", str(workers))
+        table = error_sweep((64, 64), (0.2, 0.8), seeds=range(2), master_seed=3)
         digest = hashlib.sha256(render_error_csv(table).encode()).hexdigest()
         assert digest == "dece737c0b71b9aa5cc6cd40dff915a949cb2bdec398ee57d2257d59c2cc3eeb"

@@ -3,6 +3,7 @@ input fuzz calls ``tasd.cli.main`` in process."""
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -719,6 +720,18 @@ class TestPatterns:
     def test_stc_table(self):
         proc = run_cli("patterns", "--hw", "stc-m4", check=True)
         assert proc.stdout == "total_n,realization\n1,-\n2,2:4\n3,-\n4,4:4\n"
+
+    def test_many_terms_finish(self, tmp_path):
+        # the table walked every multiset of up to max_terms bases
+        spec = tmp_path / "hw.json"
+        dataclasses.replace(vegeta_m8(), base_patterns=frozenset(range(1, 9)),
+                            max_terms=64).save(spec)
+        proc = subprocess.run([sys.executable, "-m", "tasd.cli", "patterns", "--hw", str(spec)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "total_n,realization\n" + "".join(
+            f"{n},{n}:8\n" for n in range(1, 9)
+        )
 
 
 class TestTopLevel:

@@ -2,6 +2,7 @@
 drop-rate sweep."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from tasd import (
     approximate,
     decode,
     decompose,
-    decompose_all,
     drop_metrics,
     extract_term,
     is_compliant,
@@ -27,6 +27,7 @@ from tasd import (
     sparsity,
     sweep_synthetic,
 )
+from tasd._parallel import map_ordered
 from tasd.cli import APPENDIX_CONFIGS
 from tasd.decomp import SWEEP_CSV_HEADER, render_sweep_csv
 
@@ -286,11 +287,13 @@ class TestApproximate:
         assert np.array_equal(approximate(mat, "2:4+2:8"), mat - d.residual)
 
 
-class TestDecomposeAll:
+class TestRankedDecompose:
     @given(tied_matrices(), mixed_lists)
     @settings(max_examples=150, deadline=None)
     def test_bitwise_equals_each_decompose(self, mat, configs):
-        for config, shared in zip(configs, decompose_all(mat, configs), strict=True):
+        ranked = RankedMatrix(mat)
+        for config in configs:
+            shared = ranked.decompose(config)
             alone = decompose(mat, config)
             assert shared.config == alone.config
             assert len(shared.terms) == len(alone.terms)
@@ -302,9 +305,27 @@ class TestDecomposeAll:
 
     def test_shared_prefixes_are_extracted_once(self, monkeypatch):
         calls = record_calls(monkeypatch, tasd._kernels, "extract_term_blocks")
-        mat = random_matrix(8, 40, 0.7, "normal", seed=4)
-        decompose_all(mat, ["2:4+2:8+2:16", "2:4", "2:4+2:8", "2:4+1:8", "4:8"])
+        ranked = RankedMatrix(random_matrix(8, 40, 0.7, "normal", seed=4))
+        for config in ["2:4+2:8+2:16", "2:4", "2:4+2:8", "2:4+1:8", "4:8"]:
+            ranked.decompose(config)
         assert patterns(calls) == ["2:4", "2:8", "2:16", "1:8", "4:8"]
+
+    def test_threads_sharing_an_instance_get_the_same_bytes(self):
+        # the prefix cache is not locked: four workers on two cores, with
+        # threads switching every microsecond, decompose chains that share
+        # uncached prefixes
+        mat = random_matrix(16, 40, 0.8, "normal", seed=7)
+        configs = [TasdConfig.parse(c) for c in CHAINS * 8]
+        alone = [decompose(mat, c).residual.tobytes() for c in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                ranked = RankedMatrix(mat)
+                shared = map_ordered(lambda c: ranked.decompose(c).residual, configs, 4)
+                assert [r.tobytes() for r in shared] == alone
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRankedMatrix:
@@ -329,6 +350,18 @@ class TestRankedMatrix:
             ranked.residual(TasdConfig.parse(text))
         assert [m for _, m in passes] == [8, 4]
         assert extractions == []
+
+    def test_mixed_m_residuals_share_prefixes(self, monkeypatch):
+        passes = record_calls(monkeypatch, tasd.decomp, "block_ranks")
+        extractions = record_calls(monkeypatch, tasd._kernels, "extract_term_blocks")
+        mat = random_matrix(8, 40, 0.7, "normal", seed=5)
+        ranked = RankedMatrix(mat)
+        configs = ["2:4+2:8", "2:4+2:8+2:16", "2:4+1:8", "2:4+2:8"]
+        residuals = [ranked.residual(TasdConfig.parse(text)) for text in configs]
+        assert patterns(extractions) == ["2:4", "2:8", "2:16", "1:8"]
+        assert passes == []
+        for text, residual in zip(configs, residuals):
+            assert residual.tobytes() == decompose(mat, text).residual.tobytes()
 
 
 class TestDropMetrics:
@@ -433,9 +466,11 @@ class TestSweepSynthetic:
             ),
         )
 
-    def test_deterministic_and_worker_independent(self):
-        one = sweep_synthetic(**self.GRID, workers=1)
-        four = sweep_synthetic(**self.GRID, workers=4)
+    def test_deterministic_and_worker_independent(self, monkeypatch):
+        monkeypatch.setenv("TASD_THREADS", "1")
+        one = sweep_synthetic(**self.GRID)
+        monkeypatch.setenv("TASD_THREADS", "4")
+        four = sweep_synthetic(**self.GRID)
         assert one == four
         assert render_sweep_csv(one) == render_sweep_csv(four)
 
@@ -458,18 +493,19 @@ class TestSweepSynthetic:
         assert render_sweep_csv(as_array) == render_sweep_csv(as_list)
 
     def test_appendix_chain_extracts_three_terms_per_draw(self, monkeypatch):
+        monkeypatch.setenv("TASD_THREADS", "1")
         calls = record_calls(monkeypatch, tasd._kernels, "extract_term_blocks")
         sweep_synthetic((16, 40), (0.2, 0.9), ("uniform", "normal"), APPENDIX_CONFIGS,
-                        seeds=range(2), workers=1)
+                        seeds=range(2))
         assert patterns(calls) == ["2:4", "2:8", "2:16"] * (2 * 2 * 2)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_golden_csv_bytes(self, workers):
+    def test_golden_csv_bytes(self, monkeypatch, workers):
         # recorded before configs shared their series prefixes; 40 columns
         # leave a partial block for 2:8 and 2:16
+        monkeypatch.setenv("TASD_THREADS", str(workers))
         table = sweep_synthetic((24, 40), (0.1, 0.5, 1.0), ("uniform", "normal"),
-                                APPENDIX_CONFIGS, seeds=range(2), master_seed=3,
-                                workers=workers)
+                                APPENDIX_CONFIGS, seeds=range(2), master_seed=3)
         digest = hashlib.sha256(render_sweep_csv(table).encode()).hexdigest()
         assert digest == "e8b1042c5305110776b6c5d01b980839e549ee161e5f728cc3a1da1101c4fb9a"
 

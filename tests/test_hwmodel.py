@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -432,6 +433,14 @@ class TestWorkloadCost:
         wl = Workload("w", (LayerSpec("L0", *dims),), baseline_quality=1.0)
         with pytest.raises(SchemaError, match="overflows"):
             workload_cost(hw, wl)
+
+    def test_total_overflowing_a_float_rejected(self):
+        # each layer's cost is finite; only their sum overflows
+        hw = custom_hw(energy_pj={**BASE_ENERGY, "mac": 1e308})
+        layers = (LayerSpec("L0", 1, 1, 1), LayerSpec("L1", 1, 1, 1))
+        assert math.isfinite(gemm_cost(hw, 1, 1, 1).edp)
+        with pytest.raises(SchemaError, match="the workload's cost overflows a float"):
+            workload_cost(hw, Workload("w", layers, baseline_quality=1.0))
 
     def test_csv_rendering(self):
         wl = three_layer_workload()
