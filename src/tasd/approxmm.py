@@ -110,7 +110,8 @@ def error_sweep(
     seeds=range(20),
     master_seed: int = 0,
 ) -> list[dict]:
-    """Mean/std relative product error per (A sparsity, config) cell.
+    """Mean/std relative product error per (A sparsity, config) cell. The
+    defaults are the paper's matmul-error grid, as ``tasd analyze`` runs it.
 
     A is uniform [0,1) masked to the requested sparsity; B is dense
     uniform [0,1). One (A, B) pair is drawn per (sparsity, seed) and

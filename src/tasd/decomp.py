@@ -35,6 +35,9 @@ from .matrix import (
 SWEEP_CSV_HEADER = "density,distribution,config,seed,dropped_nnz,dropped_mag,mse"
 
 DISTRIBUTIONS = ("uniform", "normal")
+# the Appendix A grid: densities 0.10 .. 0.75 and the series it compares
+APPENDIX_DENSITIES = tuple(round(0.10 + 0.05 * i, 2) for i in range(14))
+APPENDIX_CONFIGS = ("2:4", "2:4+2:8", "2:4+2:8+2:16")
 _NORMAL_STD = 1.0 / 3.0
 
 
@@ -182,14 +185,15 @@ def random_matrix(rows: int, cols: int, density: float, dist: str, seed) -> Dens
 
 
 def sweep_synthetic(
-    dims: tuple[int, int],
-    densities,
-    distributions,
-    configs,
-    seeds,
+    dims: tuple[int, int] = (128, 128),
+    densities=APPENDIX_DENSITIES,
+    distributions=DISTRIBUTIONS,
+    configs=APPENDIX_CONFIGS,
+    seeds=range(20),
     master_seed: int = 0,
 ) -> list[dict]:
-    """Drop metrics over the (density, distribution, config, seed) grid.
+    """Drop metrics over the (density, distribution, config, seed) grid. The
+    defaults are the paper's Appendix A grid, as ``tasd analyze`` runs it.
 
     One matrix is drawn per (density, distribution, seed) cell and shared
     by every config, so series can be compared on identical draws; a

@@ -171,10 +171,9 @@ class TasdConfig:
 
     @classmethod
     def parse(cls, text: str) -> "TasdConfig":
-        parts = text.split("+")
-        if not parts or not text.strip():
+        if not text.strip():
             raise ValueError("empty config string")
-        return cls(tuple(NmPattern.parse(p) for p in parts))
+        return cls(tuple(NmPattern.parse(p) for p in text.split("+")))
 
 
 def config_of(spec) -> TasdConfig:

@@ -3,6 +3,7 @@ input fuzz calls ``tasd.cli.main`` in process."""
 
 import contextlib
 import copy
+import csv
 import dataclasses
 import io
 import json
@@ -21,11 +22,15 @@ from tasd import (
     TasdConfig,
     decompose,
     drop_metrics,
+    error_sweep,
     is_expressible,
     load_assignment,
     load_matrix,
     random_matrix,
+    render_error_csv,
+    render_sweep_csv,
     save_matrix,
+    sweep_synthetic,
     vegeta_m8,
 )
 from tasd._parallel import resolve_workers
@@ -170,6 +175,11 @@ class TestDecompose:
         assert run_cli("decompose", "--in", tmp_path / "missing.tasd1",
                        "--config", "2:4", "--out-dir", tmp_path / "d").returncode == 2
 
+    def test_empty_config_is_usage_error(self, tmp_path, capsys):
+        assert main(["decompose", "--in", str(tmp_path / "m.tasd1"), "--config", "",
+                     "--out-dir", str(tmp_path / "d")]) == 1
+        assert "argument --config" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_synthetic_sweep_shape_and_determinism(self, tmp_path):
@@ -200,6 +210,15 @@ class TestAnalyze:
         proc = run_cli("analyze", "--sweep", "matmul-error", "--num-seeds", 1,
                        check=True)
         assert proc.stdout.startswith("a_sparsity,")
+
+    @pytest.mark.parametrize(
+        "name, sweep, render",
+        [("appendixA", sweep_synthetic, render_sweep_csv),
+         ("matmul-error", error_sweep, render_error_csv)],
+    )
+    def test_each_sweep_is_the_library_default_grid(self, capsys, name, sweep, render):
+        assert main(["analyze", "--sweep", name, "--num-seeds", "1", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == render(sweep(seeds=range(1), master_seed=5))
 
     @pytest.mark.parametrize("sweep", ["appendixA", "matmul-error"])
     @pytest.mark.parametrize("threads", ["abc", "2.5", "0", "-3"])
@@ -292,11 +311,14 @@ class TestSearch:
         script = tmp_path / "oracle.py"
         script.write_text("print('1.0')\n")
         out = tmp_path / "ext.json"
-        run_cli("search", "--workload", workspace / "workload.json",
-                "--hw", "vegeta-m8", "--mode", "greedy",
-                "--oracle", f"{sys.executable} {script}", "--out", out)
-        # a single-string oracle spec is executed as one path, so this
-        # fails cleanly as a data error rather than crashing
+        # a single-string oracle spec is executed as one path, so a command
+        # with arguments, or a missing path, fails cleanly as a data error
+        spec = f"{sys.executable} {script}"
+        proc = run_cli("search", "--workload", workspace / "workload.json",
+                       "--hw", "vegeta-m8", "--mode", "greedy",
+                       "--oracle", spec, "--out", out)
+        assert proc.returncode == 2
+        assert f"cannot run oracle command: [Errno 2] No such file or directory: '{spec}'" in proc.stderr
         assert run_cli("search", "--workload", workspace / "workload.json",
                        "--hw", "vegeta-m8", "--mode", "greedy",
                        "--oracle", str(tmp_path / "nonexistent"),
@@ -371,6 +393,17 @@ class TestSimulate:
         assert len(edp_line) == 1
         ratio = float(edp_line[0].split("=", 1)[1])
         assert 0.0 < ratio < 1.0
+
+    def test_csv_on_stdout_stays_a_csv(self, workspace):
+        # with the CSV on stdout, the ratio line goes to stderr: on stdout
+        # it would read as one more row
+        proc = run_cli("simulate", "--workload", workspace / "workload.json",
+                       "--hw", "vegeta-m8", check=True)
+        rows = list(csv.DictReader(io.StringIO(proc.stdout)))
+        assert all(list(row) == COST_CSV_HEADER.split(",") and None not in row.values()
+                   for row in rows)
+        assert [row["layer"] for row in rows] == ["L0", "L1", "L2", "total"]
+        assert "edp_vs_dense=1.0" in proc.stderr.splitlines()
 
     def test_dense_baseline_ratio_is_one(self, workspace, tmp_path):
         proc = run_cli("simulate", "--workload", workspace / "workload.json",

@@ -28,8 +28,7 @@ from tasd import (
     sweep_synthetic,
 )
 from tasd._parallel import map_ordered
-from tasd.cli import APPENDIX_CONFIGS
-from tasd.decomp import SWEEP_CSV_HEADER, render_sweep_csv
+from tasd.decomp import APPENDIX_CONFIGS, SWEEP_CSV_HEADER, render_sweep_csv
 
 from conftest import (
     lossless_configs,

@@ -442,6 +442,19 @@ class TestWorkloadCost:
         with pytest.raises(SchemaError, match="the workload's cost overflows a float"):
             workload_cost(hw, Workload("w", layers, baseline_quality=1.0))
 
+    def test_total_mac_count_too_large_for_a_float_rejected(self):
+        # each layer prices finite, but converting the summed MAC count to a
+        # float raises OverflowError, which must surface as a SchemaError
+        hw = dataclasses.replace(HW, energy_pj={key: 1e-310 for key in HW.energy_pj})
+        dim = 49 * 10**101
+        layer = gemm_cost(hw, dim, dim, dim)
+        assert math.isfinite(float(layer.mac_count)) and math.isfinite(layer.edp)
+        with pytest.raises(OverflowError):
+            float(2 * layer.mac_count)
+        layers = (LayerSpec("L0", dim, dim, dim), LayerSpec("L1", dim, dim, dim))
+        with pytest.raises(SchemaError, match="the workload's cost overflows a float"):
+            workload_cost(hw, Workload("w", layers, baseline_quality=1.0))
+
     def test_csv_rendering(self):
         wl = three_layer_workload()
         _, rows = workload_cost(HW, wl, {"L0": CFG("2:8")})

@@ -155,6 +155,15 @@ class TestTasdConfig:
         with pytest.raises(ValueError):
             TasdConfig(())
 
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_parse_rejects_empty_text(self, text):
+        with pytest.raises(ValueError, match="^empty config string$"):
+            TasdConfig.parse(text)
+
+    def test_parse_rejects_an_empty_term(self):
+        with pytest.raises(ValueError, match="cannot parse pattern ''"):
+            TasdConfig.parse("2:4+")
+
     def test_dense_flag(self):
         assert TasdConfig.parse("8:8").is_dense
         assert not TasdConfig.parse("4:8+4:8").is_dense
