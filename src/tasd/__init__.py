@@ -9,7 +9,6 @@ computation on a configurable structured-sparse accelerator.
 """
 
 from .approxmm import (
-    default_error_configs,
     error_sweep,
     matmul,
     relative_error,

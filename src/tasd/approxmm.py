@@ -15,11 +15,11 @@ from ._parallel import map_ordered, resolve_workers
 from .decomp import Decomposition, RankedMatrix, random_matrix
 from .errors import DegenerateProduct, DimensionMismatch
 from .matrix import (
-    DenseMatrix, NmCompressed, NmPattern, TasdConfig, _check_indices, as_matrix, config_of,
-    freeze, render_csv,
+    DenseMatrix, NmCompressed, _check_indices, _is_int, as_matrix, config_of, freeze, render_csv,
 )
 
 ERROR_CSV_HEADER = "a_sparsity,config,approx_sparsity,mean_rel_error,std_rel_error,seeds"
+ERROR_CONFIGS = tuple(f"{n}:{m}" for m in (4, 8) for n in range(1, m + 1))
 
 
 def matmul(a, b) -> DenseMatrix:
@@ -65,13 +65,18 @@ def _series_product(terms, rows: int, cols: int, b):
 class ProductError:
     """|| (A - approx(A)) @ B_i ||_F / || A @ B_i ||_F for each sample B_i, a
     block of ``widths`` consecutive columns of b (by default one: all of b).
-    Residuals come from one ``RankedMatrix`` of A, and a zero reference
-    norm is a ``DegenerateProduct`` naming the sample."""
+    Widths that are not positive integers tiling b's columns are a
+    ``DimensionMismatch``. Residuals come from one ``RankedMatrix`` of A,
+    and a zero reference norm is a ``DegenerateProduct`` naming the sample."""
 
     def __init__(self, a, b, widths=None):
         self.ranked = RankedMatrix(a)
         self.b = as_matrix(b)
-        self.edges = np.cumsum((0, *([self.b.shape[1]] if widths is None else widths)))
+        if widths is None:
+            widths = [self.b.shape[1]]
+        elif not (all(_is_int(w) and w > 0 for w in widths) and sum(widths) == self.b.shape[1]):
+            raise DimensionMismatch(f"widths {widths} do not tile b's {self.b.shape[1]} columns")
+        self.edges = np.cumsum((0, *widths))
         self.norms = self._norms(self.ranked.mat)
         if 0.0 in self.norms:
             raise DegenerateProduct(
@@ -98,15 +103,10 @@ def relative_error(a, config, b) -> float:
     return ProductError(a, b).errors(config)[0]
 
 
-def default_error_configs(ms=(4, 8)) -> list[TasdConfig]:
-    """Single-term grid 1:m .. m:m for each block size."""
-    return [TasdConfig((NmPattern(n, m),)) for m in ms for n in range(1, m + 1)]
-
-
 def error_sweep(
     dims: tuple[int, int] = (256, 256),
     a_sparsities=(0.2, 0.8),
-    configs=None,
+    configs=ERROR_CONFIGS,
     seeds=range(20),
     master_seed: int = 0,
 ) -> list[dict]:
@@ -124,9 +124,7 @@ def error_sweep(
     """
     rows, cols = dims
     sparsities = list(a_sparsities)
-    configs = (
-        default_error_configs() if configs is None else [config_of(c) for c in configs]
-    )
+    configs = [config_of(c) for c in configs]
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("error_sweep needs at least one seed")

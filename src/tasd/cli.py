@@ -14,6 +14,7 @@ import dataclasses
 import json
 import logging
 import math
+import shlex
 import sys
 from pathlib import Path
 
@@ -169,7 +170,7 @@ def _make_oracle(spec: str, timeout: float | None):
         return MagnitudeOracle()
     if spec == "error":
         return ErrorOracle()
-    return CommandOracle(spec, timeout)
+    return CommandOracle(shlex.split(spec), timeout)
 
 
 def cmd_search(args) -> int:
@@ -314,7 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--oracle",
         default="magnitude",
-        help="'magnitude', 'error', or an external command to run",
+        help="'magnitude', 'error', or an external command line, split as a shell would",
     )
     p.add_argument(
         "--oracle-timeout",

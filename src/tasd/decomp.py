@@ -64,8 +64,7 @@ def decompose(mat, config) -> Decomposition:
 
 def approximate(mat, config) -> DenseMatrix:
     """Sum of the terms, bit for bit: ``mat - residual`` (their supports are disjoint)."""
-    arr = as_matrix(mat)
-    return freeze(arr - decompose(arr, config).residual)
+    return RankedMatrix(mat).approximation(config_of(config))
 
 
 def block_ranks(mat, m: int) -> np.ndarray:
@@ -92,9 +91,8 @@ class RankedMatrix:
 
     Extraction never takes an exact zero and moves entries in rank order,
     so a same-m series keeps the non-zeros ranked below its sum_n. Each
-    residual or approximation is built on request and equals, byte for
-    byte, the one from ``decompose`` or ``approximate``; a mixed-m
-    residual comes from the prefix cache.
+    residual is built on request and equals, byte for byte, the one from
+    ``decompose``; a mixed-m residual comes from the prefix cache.
     """
 
     def __init__(self, mat):
@@ -132,8 +130,8 @@ class RankedMatrix:
         return ranks
 
     def approximation(self, cfg: TasdConfig) -> DenseMatrix:
-        """``approximate(mat, cfg)``, by the same rule: ``mat - residual``
-        keeps each kept entry and gives +0.0 everywhere else."""
+        """``approximate(mat, cfg)``: ``mat - residual`` keeps each kept
+        entry and gives +0.0 everywhere else."""
         return freeze(self.mat - self.residual(cfg))
 
 
@@ -165,16 +163,14 @@ def random_matrix(rows: int, cols: int, density: float, dist: str, seed) -> Dens
     ``density``, drawn from ``uniform`` [0,1) or ``normal`` (mean 0,
     std 1/3).
 
-    ``seed`` may be an int or a tuple of ints; either feeds a counter-based
-    generator through ``np.random.SeedSequence``, so streams are
-    reproducible and cheap to split per sweep cell.
+    ``seed`` may be an int, a tuple of ints or a ``np.random.SeedSequence``;
+    the counter-based generator takes each through a ``SeedSequence``, so
+    streams are reproducible and cheap to split per sweep cell.
     """
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"dist must be one of {DISTRIBUTIONS}, got {dist!r}")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     gen = np.random.Generator(np.random.Philox(seed))
     mask = gen.random((rows, cols)) < density
     if dist == "uniform":

@@ -53,10 +53,8 @@ class HwSpec:
             value = getattr(self, name)
             if not _is_int(value) or value <= 0:
                 raise SchemaError(f"{name} must be a positive integer, got {value!r}")
-        if not all(_is_int(n) for n in self.base_patterns):
-            raise SchemaError("base patterns must be integers")
         try:
-            self.menu  # PatternMenu checks the base patterns against m
+            self.menu  # PatternMenu checks the base patterns are integers in [1, m]
         except ValueError as exc:
             raise SchemaError(f"bad pattern menu: {exc}") from exc
         if not isinstance(self.energy_pj, Mapping):
@@ -198,19 +196,27 @@ class CostReport:
     edp: float
 
 
-def _report(cycles: int, stalls: int, macs: int, breakdown: dict) -> CostReport:
-    energy = float(sum(breakdown.values()))
+def _report(cycles: int, stalls: int, macs: int, breakdown: dict, overflow: str) -> CostReport:
+    try:
+        energy = float(sum(breakdown.values()))
+        edp = energy * int(cycles)
+        finite = math.isfinite(edp) and math.isfinite(macs)  # the EDP bounds cycles and energy
+    except OverflowError:  # a count too large to convert to a float
+        finite = False
+    if not finite:
+        raise SchemaError(overflow)
     return CostReport(
         cycles=int(cycles),
         stall_cycles=int(stalls),
         mac_count=int(macs),
         energy_pj=energy,
         breakdown=MappingProxyType(dict(breakdown)),
-        edp=energy * int(cycles),
+        edp=edp,
     )
 
 
 _ZERO_BREAKDOWN = {"mac": 0.0, "rf": 0.0, "l1": 0.0, "l2": 0.0, "dram": 0.0, "tasd_unit": 0.0}
+_GEMM_OVERFLOW = "the GEMM's cost overflows a float: dims or energies too large"
 
 
 def gemm_cost(
@@ -232,17 +238,13 @@ def gemm_cost(
     if not all(_is_int(d) and d >= 0 for d in (gemm_m, gemm_n, gemm_k)):
         raise ValueError("GEMM dims must be non-negative integers")
     if gemm_m == 0 or gemm_n == 0 or gemm_k == 0:
-        return _report(0, 0, 0, dict(_ZERO_BREAKDOWN))
+        return _report(0, 0, 0, dict(_ZERO_BREAKDOWN), _GEMM_OVERFLOW)
     if input_sparsity_gating is not None and not 0.0 <= input_sparsity_gating <= 1.0:
         raise ValueError("input_sparsity_gating must be in [0, 1]")
     try:
-        report = _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config, input_sparsity_gating or 0.0)
-        finite = math.isfinite(report.edp) and math.isfinite(report.mac_count)
-    except OverflowError:  # a count too large to convert to a float
-        finite = False
-    if not finite:
-        raise SchemaError("the GEMM's cost overflows a float: dims or energies too large")
-    return report
+        return _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config, input_sparsity_gating or 0.0)
+    except OverflowError:  # a count times an energy, too large for a float
+        raise SchemaError(_GEMM_OVERFLOW) from None
 
 
 def _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config, gating) -> CostReport:
@@ -311,7 +313,7 @@ def _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config, gating) -> CostReport:
         "dram": (a_traffic + b_dram + c_dram) * energy["dram_access"],
         "tasd_unit": tasd_energy,
     }
-    return _report(cycles, stalls, macs, breakdown)
+    return _report(cycles, stalls, macs, breakdown, _GEMM_OVERFLOW)
 
 
 def workload_cost(
@@ -330,33 +332,25 @@ def workload_cost(
     rows = []
     cycles = stalls = macs = 0
     totals = dict(_ZERO_BREAKDOWN)
-    try:
-        for ly in workload.layers:
-            cfg = assignment.get(ly.layer_id)
-            report = gemm_cost(
-                hw,
-                ly.gemm_m,
-                ly.gemm_n,
-                ly.gemm_k,
-                cfg,
-                input_sparsity_gating=gating_stats.get(ly.layer_id),
-            )
-            cycles += report.cycles
-            stalls += report.stall_cycles
-            macs += report.mac_count
-            for key in totals:
-                totals[key] += report.breakdown[key]
-            config = cfg.canonical() if cfg is not None else "dense"
-            rows.append(cost_row(ly.layer_id, config, report))
-        total = _report(cycles, stalls, macs, totals)
-        # each layer's counts and energies are at most the totals, and the
-        # EDP bounds the cycles and the energy
-        finite = math.isfinite(total.edp) and math.isfinite(total.mac_count)
-    except OverflowError:  # a count too large to convert to a float
-        finite = False
-    if not finite:
-        raise SchemaError("the workload's cost overflows a float: GEMM dims or energies too large")
-    return total, rows
+    for ly in workload.layers:
+        cfg = assignment.get(ly.layer_id)
+        report = gemm_cost(
+            hw,
+            ly.gemm_m,
+            ly.gemm_n,
+            ly.gemm_k,
+            cfg,
+            input_sparsity_gating=gating_stats.get(ly.layer_id),
+        )
+        cycles += report.cycles
+        stalls += report.stall_cycles
+        macs += report.mac_count
+        for key in totals:
+            totals[key] += report.breakdown[key]
+        config = cfg.canonical() if cfg is not None else "dense"
+        rows.append(cost_row(ly.layer_id, config, report))
+    overflow = "the workload's cost overflows a float: GEMM dims or energies too large"
+    return _report(cycles, stalls, macs, totals, overflow), rows
 
 
 def cost_row(layer: str, config: str, report: CostReport) -> dict:

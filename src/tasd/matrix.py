@@ -202,13 +202,13 @@ class PatternMenu:
 
     def __post_init__(self):
         object.__setattr__(self, "base_patterns", frozenset(self.base_patterns))
-        if self.m < 1 or self.max_terms < 1:
-            raise ValueError("menu m and max_terms must be positive")
+        if not (_is_int(self.m) and _is_int(self.max_terms)) or self.m < 1 or self.max_terms < 1:
+            raise ValueError("menu m and max_terms must be positive integers")
         if not self.base_patterns:
             raise ValueError("menu needs at least one base pattern")
         for n in self.base_patterns:
-            if not 1 <= n <= self.m:
-                raise ValueError(f"base pattern {n} outside [1, {self.m}]")
+            if not (_is_int(n) and 1 <= n <= self.m):
+                raise ValueError(f"base pattern {n!r} is not an integer in [1, {self.m}]")
 
 
 def enumerate_configs(menu: PatternMenu) -> list[TasdConfig]:

@@ -33,7 +33,7 @@ from tasd import (
     tasd_matmul,
 )
 from tasd.approxmm import (
-    ERROR_CSV_HEADER, ProductError, default_error_configs, render_error_csv,
+    ERROR_CONFIGS, ERROR_CSV_HEADER, ProductError, render_error_csv,
 )
 
 from conftest import nnz, pool_configs, py_matmul, record_calls
@@ -406,6 +406,15 @@ class TestRelativeError:
         scorer = ProductError(a, np.hstack(samples), [3, 1, 6])
         assert scorer.errors(config) == [relative_error(a, config, b) for b in samples]
 
+    @pytest.mark.parametrize("widths", [[4], [4, 4], [-2, 8], [6, 0], [2.0, 4], [True, 5]])
+    def test_widths_must_tile_b(self, widths):
+        # [4] used to score 4 of b's 6 columns, and [4, 4] or [-2, 8] to
+        # return misaligned errors
+        a = random_matrix(12, 16, 0.6, "normal", seed=5)
+        b = random_matrix(16, 6, 0.7, "normal", seed=6)
+        with pytest.raises(DimensionMismatch, match="do not tile b's 6 columns"):
+            ProductError(a, b, widths)
+
     def test_zero_reference_names_the_sample(self):
         samples = [np.ones((4, 2)), np.zeros((4, 3)), np.ones((4, 1))]
         with pytest.raises(DegenerateProduct, match="sample 1 has zero"):
@@ -452,8 +461,7 @@ class TestErrorSweep:
             error_sweep(dims=(8, 8), configs=("2:4",), seeds=[])
 
     def test_default_config_grid(self):
-        configs = default_error_configs()
-        assert [c.canonical() for c in configs] == [
+        assert list(ERROR_CONFIGS) == [
             f"{n}:4" for n in range(1, 5)
         ] + [f"{n}:8" for n in range(1, 9)]
 

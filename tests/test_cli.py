@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 
@@ -308,17 +309,21 @@ class TestSearch:
         assert "rows, expected 8" in proc.stderr
 
     def test_external_oracle_command(self, workspace, tmp_path):
-        script = tmp_path / "oracle.py"
-        script.write_text("print('1.0')\n")
+        # the spec is split like a shell command line, so an interpreter, a
+        # quoted path with a space and the appended manifest path all arrive
+        script = tmp_path / "an oracle" / "oracle.py"
+        script.parent.mkdir()
+        script.write_text("import sys\n"
+                          "assert sys.argv[1:] and sys.argv[1].endswith('manifest.json')\n"
+                          "print('1.0')\n")
         out = tmp_path / "ext.json"
-        # a single-string oracle spec is executed as one path, so a command
-        # with arguments, or a missing path, fails cleanly as a data error
-        spec = f"{sys.executable} {script}"
+        spec = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
         proc = run_cli("search", "--workload", workspace / "workload.json",
                        "--hw", "vegeta-m8", "--mode", "greedy",
                        "--oracle", spec, "--out", out)
-        assert proc.returncode == 2
-        assert f"cannot run oracle command: [Errno 2] No such file or directory: '{spec}'" in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        assert "greedy configured 3 of 3 layers" in proc.stderr
+        # a missing path fails cleanly as a data error
         assert run_cli("search", "--workload", workspace / "workload.json",
                        "--hw", "vegeta-m8", "--mode", "greedy",
                        "--oracle", str(tmp_path / "nonexistent"),

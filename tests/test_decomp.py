@@ -29,6 +29,7 @@ from tasd import (
 )
 from tasd._parallel import map_ordered
 from tasd.decomp import APPENDIX_CONFIGS, SWEEP_CSV_HEADER, render_sweep_csv
+from tasd.matrix import as_matrix, freeze
 
 from conftest import (
     lossless_configs,
@@ -285,6 +286,13 @@ class TestApproximate:
         d = decompose(mat, "2:4+2:8")
         assert np.array_equal(approximate(mat, "2:4+2:8"), mat - d.residual)
 
+    def test_same_m_takes_one_rank_pass_and_no_extraction(self, monkeypatch):
+        passes = record_calls(monkeypatch, tasd.decomp, "block_ranks")
+        extractions = record_calls(monkeypatch, tasd._kernels, "extract_term_blocks")
+        approximate(random_matrix(8, 24, 0.7, "normal", seed=6), "4:8+2:8")
+        assert [m for _, m in passes] == [8]
+        assert extractions == []
+
 
 class TestRankedDecompose:
     @given(tied_matrices(), mixed_lists)
@@ -334,7 +342,9 @@ class TestRankedMatrix:
         ranked = RankedMatrix(mat)
         for config in configs:
             assert ranked.residual(config).tobytes() == decompose(mat, config).residual.tobytes()
-            assert ranked.approximation(config).tobytes() == approximate(mat, config).tobytes()
+            # the definition ``approximate`` had before it became this method
+            expected = freeze(as_matrix(mat) - decompose(mat, config).residual)
+            assert ranked.approximation(config).tobytes() == expected.tobytes()
 
     def test_signed_zero_stays_in_the_residual(self):
         mat = np.array([[-0.0, 3.0, 0.0, -2.0, 1.0]])

@@ -67,6 +67,17 @@ class TestPatternMenu:
         with pytest.raises(ValueError):
             PatternMenu(4, frozenset({2}), 0)
 
+    @pytest.mark.parametrize(
+        "m, base, max_terms",
+        [(8, {2}, 2.0), (8, {2}, True), (8.0, {2}, 2), (True, {1}, 1), (8, {2.0}, 2),
+         (8, {True, 2}, 2)],
+    )
+    def test_non_integer_fields_rejected(self, m, base, max_terms):
+        # (8, {2}, 2.0) used to fail later, in enumerate_configs, with a bare
+        # TypeError, and max_terms=True was taken as 1
+        with pytest.raises(ValueError, match="integer"):
+            PatternMenu(m, frozenset(base), max_terms)
+
 
 class TestEnumerateConfigs:
     def test_two_term_menu_realizations(self):
