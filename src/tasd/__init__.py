@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatch,
     EmptyCalibration,
     MissingCalibration,
-    MissingStats,
     MixedM,
     NonFiniteEntry,
     NotCompliant,
@@ -77,15 +76,14 @@ from .matrix import (
     sparsity,
 )
 from .search import (
-    LayerStats,
     assignment_from_json,
     assignment_to_json,
     layer_wise_greedy,
     load_assignment,
     network_wise_search,
-    profile_calibration,
     pseudo_density,
     ranked_pairs,
+    sample_sparsities,
     save_assignment,
     select_activation_configs,
     sparsity_select,

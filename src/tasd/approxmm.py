@@ -94,7 +94,7 @@ class ProductError:
 
     def errors(self, config) -> list[float]:
         """Each sample's relative error under ``config``."""
-        errors = self._norms(self.ranked.residual(config_of(config)))
+        errors = self._norms(self.ranked.residual(config))
         return [error / norm for error, norm in zip(errors, self.norms)]
 
 

@@ -42,7 +42,7 @@ from .matrix import (
 from .search import (
     layer_wise_greedy,
     network_wise_search,
-    profile_calibration,
+    sample_sparsities,
     save_assignment,
     load_assignment,
     select_activation_configs,
@@ -198,27 +198,11 @@ def cmd_search(args) -> int:
         )
         log.info("greedy configured %d of %d layers", len(assignment), len(wl.layers))
     else:
-        stats = [
-            profile_calibration(load_calibration(ly), ly.layer_id) for ly in wl.layers
-        ]
+        rho = args.rho if args.pseudo else None
+        sparsities = {ly.layer_id: sample_sparsities(load_calibration(ly), rho) for ly in wl.layers}
         assignment = select_activation_configs(
-            stats,
-            menu,
-            alpha=args.alpha,
-            rho=args.rho,
-            relu_based=not args.pseudo,
-            statistic=args.statistic,
+            sparsities, menu, alpha=args.alpha, statistic=args.statistic, trace=trace
         )
-        for st in stats:
-            cfg = assignment.get(st.layer_id)
-            trace.append(
-                {
-                    "layer": st.layer_id,
-                    "sparsity_mean": st.act_sparsity_mean,
-                    "sparsity_p99": st.act_sparsity_p99,
-                    "config": cfg.canonical() if cfg else "dense",
-                }
-            )
         log.info(
             "activation selection configured %d of %d layers",
             len(assignment),

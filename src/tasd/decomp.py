@@ -64,7 +64,7 @@ def decompose(mat, config) -> Decomposition:
 
 def approximate(mat, config) -> DenseMatrix:
     """Sum of the terms, bit for bit: ``mat - residual`` (their supports are disjoint)."""
-    return RankedMatrix(mat).approximation(config_of(config))
+    return RankedMatrix(mat).approximation(config)
 
 
 def block_ranks(mat, m: int) -> np.ndarray:
@@ -114,9 +114,10 @@ class RankedMatrix:
         terms = tuple(steps[prefix][0] for prefix in prefixes)
         return Decomposition(cfg, terms, steps[cfg.terms][1])
 
-    def residual(self, cfg: TasdConfig) -> DenseMatrix:
-        """``decompose(mat, cfg).residual``; kept entries become +0.0 and
+    def residual(self, config) -> DenseMatrix:
+        """``decompose(mat, config).residual``; kept entries become +0.0 and
         every other entry, -0.0 included, stays."""
+        cfg = config_of(config)
         if not cfg.same_m:
             return self.decompose(cfg).residual
         kept = (self.ranks(cfg.terms[0].m) < cfg.sum_n) & (self.mat != 0.0)
@@ -129,10 +130,10 @@ class RankedMatrix:
             ranks = self._ranks[m] = block_ranks(self.mat, m)
         return ranks
 
-    def approximation(self, cfg: TasdConfig) -> DenseMatrix:
-        """``approximate(mat, cfg)``: ``mat - residual`` keeps each kept
+    def approximation(self, config) -> DenseMatrix:
+        """``approximate(mat, config)``: ``mat - residual`` keeps each kept
         entry and gives +0.0 everywhere else."""
-        return freeze(self.mat - self.residual(cfg))
+        return freeze(self.mat - self.residual(config))
 
 
 def drop_metrics(d: Decomposition) -> DropMetrics:

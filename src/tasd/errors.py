@@ -43,11 +43,7 @@ class MissingCalibration(TasdError):
 
 
 class EmptyCalibration(TasdError):
-    """Calibration profiling was given no samples for a layer."""
-
-
-class MissingStats(TasdError):
-    """Activation statistics required by the selection policy are absent."""
+    """Activation selection was given no calibration samples for a layer."""
 
 
 class SchemaError(TasdError):

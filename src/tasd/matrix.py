@@ -58,10 +58,12 @@ def new_dense(rows: int, cols: int, data) -> DenseMatrix:
 
 def as_matrix(mat) -> DenseMatrix:
     """Coerce an array-like to a 2-D float64 ndarray (no copy if possible);
-    NaN and Inf entries are refused."""
+    a matrix with no entries, and NaN and Inf entries, are refused."""
     arr = np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
+    if arr.size == 0:
+        raise DimensionMismatch(f"matrix dims must be positive, got {arr.shape[0]}x{arr.shape[1]}")
     if not np.isfinite(arr).all():
         raise NonFiniteEntry("matrix entries must be finite")
     return arr

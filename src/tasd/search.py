@@ -5,16 +5,15 @@ activations. Each returns an ``Assignment`` (see ``tasd.matrix``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import EmptyCalibration, MissingStats, NonFiniteEntry, SchemaError
+from .errors import EmptyCalibration, NonFiniteEntry, SchemaError
 from .matrix import (
     Assignment,
     NmPattern,
     PatternMenu,
     TasdConfig,
+    as_matrix,
     block_nnz,
     dense_config,
     enumerate_configs,
@@ -22,14 +21,6 @@ from .matrix import (
     sparsity,
     write_json,
 )
-
-
-@dataclass
-class LayerStats:
-    layer_id: str
-    act_sparsity_mean: float | None = None
-    act_sparsity_p99: float | None = None
-    act_magnitude_samples: tuple | None = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +168,12 @@ def sparsity_select(layer_sparsity: float, alpha: float, menu: PatternMenu) -> T
     return choice
 
 
-def profile_calibration(samples, layer_id: str = "") -> LayerStats:
-    """Mean and p99 sparsity over calibration samples, keeping the raw
-    magnitudes for the pseudo-density fallback."""
-    samples = list(samples)
-    if not samples:
-        raise EmptyCalibration(f"no calibration samples for layer {layer_id!r}")
-    fractions = [sparsity(s) for s in samples]
-    magnitudes = tuple(
-        np.abs(np.asarray(s, dtype=np.float64)).ravel() for s in samples
-    )
-    return LayerStats(
-        layer_id=layer_id,
-        act_sparsity_mean=float(np.mean(fractions)),
-        act_sparsity_p99=float(np.percentile(fractions, 99)),
-        act_magnitude_samples=magnitudes,
-    )
+def sample_sparsities(samples, rho: float | None = None) -> list[float]:
+    """Each calibration sample's sparsity; with ``rho``, for a non-ReLU
+    activation, its pseudo-sparsity ``1 - pseudo_density(sample, rho)``."""
+    if rho is None:
+        return [sparsity(s) for s in samples]
+    return [1.0 - pseudo_density(as_matrix(s), rho) for s in samples]
 
 
 def pseudo_density(magnitudes, rho: float = 0.99) -> float:
@@ -214,44 +195,38 @@ def pseudo_density(magnitudes, rho: float = 0.99) -> float:
 
 
 def select_activation_configs(
-    stats,
+    sparsities,
     menu: PatternMenu,
     alpha: float = 0.05,
-    rho: float = 0.99,
-    relu_based: bool = True,
     statistic: str = "p99",
+    trace: list | None = None,
 ) -> Assignment:
-    """Per-layer sparsity-guided selection.
+    """Per-layer sparsity-guided selection from ``{layer_id: [per-sample
+    values]}``, as ``sample_sparsities`` gives them.
 
-    ReLU-style layers use their measured sparsity statistic (p99 by
-    default, mean on request). Other activations replace sparsity with
-    1 - pseudo_density of the sampled magnitudes. Dense picks are left
-    out of the assignment.
+    Each layer's config comes from ``sparsity_select`` on the p99 (default)
+    or the mean of its values. Dense picks are left out of the assignment;
+    a layer with no values is an ``EmptyCalibration``.
     """
     if statistic not in ("p99", "mean"):
         raise ValueError(f"statistic must be 'p99' or 'mean', got {statistic!r}")
     assignment: Assignment = {}
-    for st in stats:
-        if relu_based:
-            value = st.act_sparsity_p99 if statistic == "p99" else st.act_sparsity_mean
-            if value is None:
-                raise MissingStats(
-                    f"layer {st.layer_id!r} lacks measured activation sparsity"
-                )
-        else:
-            if not st.act_magnitude_samples:
-                raise MissingStats(
-                    f"layer {st.layer_id!r} lacks magnitude samples for pseudo-density"
-                )
-            pseudo = [1.0 - pseudo_density(m, rho) for m in st.act_magnitude_samples]
-            value = (
-                float(np.percentile(pseudo, 99))
-                if statistic == "p99"
-                else float(np.mean(pseudo))
-            )
-        cfg = sparsity_select(value, alpha, menu)
+    for layer_id, values in sparsities.items():
+        if len(values) == 0:
+            raise EmptyCalibration(f"no calibration samples for layer {layer_id!r}")
+        mean, p99 = float(np.mean(values)), float(np.percentile(values, 99))
+        cfg = sparsity_select(p99 if statistic == "p99" else mean, alpha, menu)
         if not cfg.is_dense:
-            assignment[st.layer_id] = cfg
+            assignment[layer_id] = cfg
+        if trace is not None:
+            trace.append(
+                {
+                    "layer": layer_id,
+                    "sparsity_mean": mean,
+                    "sparsity_p99": p99,
+                    "config": "dense" if cfg.is_dense else cfg.canonical(),
+                }
+            )
     return assignment
 
 

@@ -24,11 +24,14 @@ from tasd import (
     approximate,
     decode,
     decompose,
+    encode,
     error_sweep,
     extract_term,
     matmul,
     random_matrix,
     relative_error,
+    save_matrix,
+    sparsity,
     spmm_term,
     tasd_matmul,
 )
@@ -452,6 +455,33 @@ class TestNonFiniteOperands:
         for product in products:
             with pytest.raises(NonFiniteEntry):
                 product(a, b)
+
+
+class TestEmptyOperands:
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)], ids=["0x4", "3x0", "0x0"])
+    def test_rejected_at_every_entry_point(self, tmp_path, shape):
+        # sparsity used to divide by zero, approximate to return an empty
+        # array and matmul an empty product
+        empty = np.zeros(shape)
+        term = decompose(np.ones((4, 4)), "2:4")
+        calls = (
+            lambda: sparsity(empty),
+            lambda: decompose(empty, "2:4"),
+            lambda: extract_term(empty, NmPattern(2, 4)),
+            lambda: approximate(empty, "2:4"),
+            lambda: encode(empty, NmPattern(2, 4)),
+            lambda: save_matrix(empty, tmp_path / "empty.tasd1"),
+            lambda: matmul(empty, np.ones((shape[1], 2))),
+            lambda: matmul(np.ones((2, shape[0])), empty),
+            lambda: relative_error(empty, "2:4", np.ones((shape[1], 2))),
+            lambda: relative_error(np.ones((2, shape[0])), "2:4", empty),
+            lambda: tasd_matmul(term, np.zeros((4, 0))),
+            lambda: spmm_term(term.terms[0], np.zeros((4, 0))),
+        )
+        for call in calls:
+            with pytest.raises(DimensionMismatch, match="dims must be positive"):
+                call()
+        assert not (tmp_path / "empty.tasd1").exists()
 
 
 class TestErrorSweep:

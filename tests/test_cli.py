@@ -26,7 +26,10 @@ from tasd import (
     error_sweep,
     is_expressible,
     load_assignment,
+    load_calibration,
     load_matrix,
+    load_workload,
+    pseudo_density,
     random_matrix,
     render_error_csv,
     render_sweep_csv,
@@ -278,6 +281,22 @@ class TestSearch:
         # the dense one is left out
         assert set(assignment) == {"L0", "L1"}
         assert {cfg.canonical() for cfg in assignment.values()} == {"1:8"}
+
+    def test_pseudo_density_log_shows_the_statistics_used(self, workspace, tmp_path):
+        # the log used to show the measured sparsity, 0.0 for the dense L2,
+        # not the pseudo-sparsity that chose its config
+        log_path = tmp_path / "trace.jsonl"
+        run_cli("search", "--workload", workspace / "workload.json", "--hw", "vegeta-m8",
+                "--mode", "activation", "--pseudo-density", "--out", tmp_path / "a.json",
+                "--log", log_path, check=True)
+        lines = [json.loads(line) for line in log_path.read_text().splitlines()]
+        layers = load_workload(workspace / "workload.json").layers
+        assert [line["layer"] for line in lines] == [ly.layer_id for ly in layers]
+        for line, layer in zip(lines, layers):
+            values = [1.0 - pseudo_density(s, 0.99) for s in load_calibration(layer)]
+            assert line["sparsity_mean"] == float(np.mean(values))
+            assert line["sparsity_p99"] == float(np.percentile(values, 99))
+        assert lines[2]["sparsity_mean"] > 0.0
 
     def test_activation_mode_needs_calibration(self, tmp_path):
         weight = random_matrix(8, 8, 0.5, "uniform", seed=1)

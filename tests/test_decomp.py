@@ -346,6 +346,19 @@ class TestRankedMatrix:
             expected = freeze(as_matrix(mat) - decompose(mat, config).residual)
             assert ranked.approximation(config).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("text", ["2:4", "4:8+2:8", "2:4+2:8"])
+    def test_takes_any_config_spec(self, text):
+        # residual("2:4") used to raise AttributeError
+        mat = random_matrix(8, 24, 0.7, "normal", seed=7)
+        cfg = TasdConfig.parse(text)
+        specs = [text, cfg, *([cfg.terms[0]] if len(cfg.terms) == 1 else [])]
+        residual = decompose(mat, cfg).residual
+        for spec in specs:
+            ranked = RankedMatrix(mat)
+            assert ranked.residual(spec).tobytes() == residual.tobytes()
+            assert ranked.approximation(spec).tobytes() == approximate(mat, spec).tobytes()
+            assert approximate(mat, spec).tobytes() == approximate(mat, cfg).tobytes()
+
     def test_signed_zero_stays_in_the_residual(self):
         mat = np.array([[-0.0, 3.0, 0.0, -2.0, 1.0]])
         residual = RankedMatrix(mat).residual(TasdConfig.parse("3:4"))

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import tasd.workload
@@ -15,6 +16,7 @@ from tasd.hwmodel import HwSpec
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tasd"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
+README = PACKAGE.parent.parent / "README.md"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
@@ -191,6 +193,18 @@ def test_benchmark_reads_exist():
         "tasd.cli.main",
     } <= reads
     assert [dotted for dotted in sorted(reads) if not _resolves(dotted)] == []
+
+
+def test_readme_examples_run_and_its_names_exist():
+    # a deleted public name must not live on in the docs
+    text = README.read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    names = set(re.findall(r"`(tasd(?:\.\w+)+)", text))
+    assert names
+    assert sorted(name for name in names if not _resolves(name)) == []
 
 
 def test_tracer_passes_workers_positionally():

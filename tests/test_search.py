@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from tasd import (
     EmptyCalibration,
     LayerSpec,
-    LayerStats,
     MagnitudeOracle,
-    MissingStats,
     NmPattern,
     NonFiniteEntry,
     PatternMenu,
@@ -30,11 +28,12 @@ from tasd import (
     layer_wise_greedy,
     load_assignment,
     network_wise_search,
-    profile_calibration,
     pseudo_density,
     random_matrix,
+    sample_sparsities,
     save_assignment,
     select_activation_configs,
+    sparsity,
     sparsity_select,
     stc_m4,
     vegeta_m8,
@@ -260,64 +259,88 @@ class TestPseudoDensity:
         assert result == k / len(values)
 
 
-class TestProfileCalibration:
+class TestSampleSparsities:
+    H_MENU = PatternMenu(4, frozenset({1, 2, 3}), 1)
+
     def test_mean_of_sample_sparsities(self):
         samples = [
             np.array([[1.0, 0.0], [0.0, 0.0]]),  # 0.75 sparse
             np.array([[1.0, 1.0], [0.0, 0.0]]),  # 0.50 sparse
         ]
-        stats = profile_calibration(samples, "L0")
-        assert stats.act_sparsity_mean == pytest.approx(0.625)
-        assert stats.layer_id == "L0"
-        assert len(stats.act_magnitude_samples) == 2
+        values = sample_sparsities(samples)
+        assert values == [0.75, 0.50]
+        trace = []
+        select_activation_configs({"L0": values}, self.H_MENU, statistic="mean", trace=trace)
+        assert trace[0]["layer"] == "L0"
+        assert trace[0]["sparsity_mean"] == pytest.approx(0.625)
 
     def test_single_sample_mean_equals_p99(self):
-        stats = profile_calibration([np.array([[1.0, 0.0, 0.0, 0.0]])])
-        assert stats.act_sparsity_mean == stats.act_sparsity_p99 == 0.75
+        trace = []
+        values = sample_sparsities([np.array([[1.0, 0.0, 0.0, 0.0]])])
+        select_activation_configs({"L0": values}, self.H_MENU, trace=trace)
+        assert trace[0]["sparsity_mean"] == trace[0]["sparsity_p99"] == 0.75
 
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyCalibration):
-            profile_calibration([], "L0")
+    def test_rho_gives_pseudo_sparsities(self):
+        samples = [np.array([[10.0, 0.05, 0.03, 0.02]]), np.array([[1.0, -1.0, 1.0, 0.0]])]
+        assert sample_sparsities(samples, rho=0.99) == [0.75, 0.25]
+        assert sample_sparsities(samples, rho=1.0) == [0.0, 0.25]
+        with pytest.raises(ValueError):
+            sample_sparsities(samples, rho=0.0)
 
 
 class TestSelectActivationConfigs:
     H_MENU = PatternMenu(4, frozenset({1, 2, 3}), 1)
 
     def test_relu_uses_measured_sparsity(self):
-        stats = [LayerStats("L0", act_sparsity_mean=0.55, act_sparsity_p99=0.55)]
-        assignment = select_activation_configs(stats, self.H_MENU, alpha=0.05)
+        sample = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])  # 0.5 sparse
+        assignment = select_activation_configs(
+            {"L0": sample_sparsities([sample])}, self.H_MENU, alpha=0.05
+        )
+        # target 0.55, largest H below is 0.50
         assert assignment["L0"].approximated_sparsity == 0.50
 
     def test_dense_layers_left_out(self):
-        stats = [LayerStats("L0", act_sparsity_mean=0.05, act_sparsity_p99=0.05)]
-        assignment = select_activation_configs(stats, self.H_MENU, alpha=0.05)
+        trace = []
+        assignment = select_activation_configs(
+            {"L0": [0.05]}, self.H_MENU, alpha=0.05, trace=trace
+        )
         assert assignment == {}
+        assert trace[0]["config"] == "dense"
 
     def test_non_relu_uses_pseudo_density(self):
-        mags = (np.array([10.0, 0.05, 0.03, 0.02]),)  # pseudo-density 0.25
-        stats = [LayerStats("L0", act_magnitude_samples=mags)]
+        sample = np.array([[10.0, 0.05, 0.03, 0.02]])  # pseudo-density 0.25
+        assert sparsity(sample) == 0.0
         assignment = select_activation_configs(
-            stats, self.H_MENU, alpha=0.05, relu_based=False
+            {"L0": sample_sparsities([sample], rho=0.99)}, self.H_MENU, alpha=0.05
         )
         # treated as sparsity 0.75, target 0.80, largest H below is 0.75
         assert assignment["L0"].approximated_sparsity == 0.75
 
-    def test_missing_stats_rejected(self):
-        with pytest.raises(MissingStats):
-            select_activation_configs([LayerStats("L0")], self.H_MENU)
-        with pytest.raises(MissingStats):
-            select_activation_configs(
-                [LayerStats("L0")], self.H_MENU, relu_based=False
-            )
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyCalibration, match="'L1'"):
+            select_activation_configs({"L0": [0.5], "L1": []}, self.H_MENU)
 
     def test_statistic_flag(self):
-        stats = [LayerStats("L0", act_sparsity_mean=0.55, act_sparsity_p99=0.90)]
-        by_p99 = select_activation_configs(stats, self.H_MENU, statistic="p99")
-        by_mean = select_activation_configs(stats, self.H_MENU, statistic="mean")
+        values = {"L0": [0.20, 0.90]}  # mean 0.55, p99 0.893
+        by_p99 = select_activation_configs(values, self.H_MENU, statistic="p99")
+        by_mean = select_activation_configs(values, self.H_MENU, statistic="mean")
         assert by_p99["L0"].approximated_sparsity == 0.75
         assert by_mean["L0"].approximated_sparsity == 0.50
         with pytest.raises(ValueError):
-            select_activation_configs(stats, self.H_MENU, statistic="median")
+            select_activation_configs(values, self.H_MENU, statistic="median")
+
+    def test_trace_has_one_line_per_layer(self):
+        trace = []
+        assignment = select_activation_configs(
+            {"L0": [0.20, 0.90], "L1": [0.0]}, self.H_MENU, statistic="mean", trace=trace
+        )
+        assert [list(line) for line in trace] == [
+            ["layer", "sparsity_mean", "sparsity_p99", "config"]
+        ] * 2
+        assert [line["layer"] for line in trace] == ["L0", "L1"]
+        assert trace[0]["sparsity_mean"] == 0.55
+        assert trace[0]["sparsity_p99"] == float(np.percentile([0.20, 0.90], 99))
+        assert [line["config"] for line in trace] == [assignment["L0"].canonical(), "dense"]
 
 
 # ---------------------------------------------------------------------------
