@@ -225,29 +225,25 @@ def gemm_cost(
     gemm_n: int,
     gemm_k: int,
     config: TasdConfig | None = None,
-    input_sparsity_gating: float | None = None,
 ) -> CostReport:
     """Cycles, per-level energy, and EDP of one (possibly decomposed) GEMM.
 
     Dense execution (config None or a single n=m term) bypasses the
     decomposition units entirely: no per-block extraction energy, no
-    metadata traffic, no extra C passes. ``input_sparsity_gating`` scales
-    MAC energy only (compute cycles are unchanged by gating). A cost too
-    large for a float is a ``SchemaError``.
+    metadata traffic, no extra C passes. A cost too large for a float is a
+    ``SchemaError``.
     """
     if not all(_is_int(d) and d >= 0 for d in (gemm_m, gemm_n, gemm_k)):
         raise ValueError("GEMM dims must be non-negative integers")
     if gemm_m == 0 or gemm_n == 0 or gemm_k == 0:
         return _report(0, 0, 0, dict(_ZERO_BREAKDOWN), _GEMM_OVERFLOW)
-    if input_sparsity_gating is not None and not 0.0 <= input_sparsity_gating <= 1.0:
-        raise ValueError("input_sparsity_gating must be in [0, 1]")
     try:
-        return _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config, input_sparsity_gating or 0.0)
+        return _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config)
     except OverflowError:  # a count times an energy, too large for a float
         raise SchemaError(_GEMM_OVERFLOW) from None
 
 
-def _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config, gating) -> CostReport:
+def _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config) -> CostReport:
     """The body of ``gemm_cost`` for positive integer dims."""
     dense = config is None or config.is_dense
     if not dense and not is_expressible(config, hw.menu):
@@ -306,7 +302,7 @@ def _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config, gating) -> CostReport:
         0.0 if dense else blocks_per_term * sum(ns) * energy["tasd_unit"]
     )
     breakdown = {
-        "mac": macs * (1.0 - gating) * energy["mac"],
+        "mac": macs * energy["mac"],
         "rf": a_traffic * energy["rf_access"],
         "l1": c_l1 * energy["l1_access"],
         "l2": (a_traffic + b_l2) * energy["l2_access"],
@@ -316,17 +312,11 @@ def _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config, gating) -> CostReport:
     return _report(cycles, stalls, macs, breakdown, _GEMM_OVERFLOW)
 
 
-def workload_cost(
-    hw: HwSpec,
-    workload,
-    assignment: Assignment | None = None,
-    gating_stats: dict | None = None,
-):
+def workload_cost(hw: HwSpec, workload, assignment: Assignment | None = None):
     """Cost every layer under the assignment; returns the aggregate
     report plus per-layer rows ready for the cost CSV."""
     assignment = assignment or {}
-    gating_stats = gating_stats or {}
-    unknown = (set(assignment) | set(gating_stats)) - {ly.layer_id for ly in workload.layers}
+    unknown = set(assignment) - {ly.layer_id for ly in workload.layers}
     if unknown:
         raise SchemaError(f"no layer {', '.join(sorted(map(repr, unknown)))} in the workload")
     rows = []
@@ -334,14 +324,7 @@ def workload_cost(
     totals = dict(_ZERO_BREAKDOWN)
     for ly in workload.layers:
         cfg = assignment.get(ly.layer_id)
-        report = gemm_cost(
-            hw,
-            ly.gemm_m,
-            ly.gemm_n,
-            ly.gemm_k,
-            cfg,
-            input_sparsity_gating=gating_stats.get(ly.layer_id),
-        )
+        report = gemm_cost(hw, ly.gemm_m, ly.gemm_n, ly.gemm_k, cfg)
         cycles += report.cycles
         stalls += report.stall_cycles
         macs += report.mac_count

@@ -111,10 +111,6 @@ class NmPattern:
             raise ValueError(f"pattern needs 1 <= n <= m, got {self.n}:{self.m}")
 
     @property
-    def density(self) -> float:
-        return self.n / self.m
-
-    @property
     def is_dense(self) -> bool:
         return self.n == self.m
 

@@ -177,11 +177,12 @@ def sample_sparsities(samples, rho: float | None = None) -> list[float]:
 
 
 def pseudo_density(magnitudes, rho: float = 0.99) -> float:
-    """Smallest k/len whose k largest magnitudes sum to at least rho of
-    the total; 0 for an all-zero (or empty) input."""
+    """Smallest k/len whose k largest entries of the array-like
+    ``magnitudes`` (any shape) sum to at least rho of the total; 0 for an
+    all-zero (or empty) input."""
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
-    mags = np.abs(np.asarray(list(magnitudes), dtype=np.float64)).ravel()
+    mags = np.abs(np.asarray(magnitudes, dtype=np.float64)).ravel()
     if not np.isfinite(mags).all():
         raise NonFiniteEntry("magnitudes must be finite")
     if mags.size == 0:

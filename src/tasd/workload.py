@@ -45,8 +45,6 @@ class LayerSpec:
     gemm_n: int
     gemm_k: int
     weight: DenseMatrix | None = None
-    weights_sparse: bool = False
-    acts_sparse: bool = False
     calibration_dir: str | None = None
 
     def __post_init__(self):
@@ -54,8 +52,6 @@ class LayerSpec:
             raise SchemaError(f"layer id {self.layer_id!r} must be a string")
         if not all(_is_int(d) and d > 0 for d in (self.gemm_m, self.gemm_n, self.gemm_k)):
             raise SchemaError(f"layer {self.layer_id!r} needs positive integer GEMM dims")
-        if not (isinstance(self.weights_sparse, bool) and isinstance(self.acts_sparse, bool)):
-            raise SchemaError(f"layer {self.layer_id!r} sparse flags must be booleans")
         if self.weight is not None and self.weight.shape != (self.gemm_m, self.gemm_k):
             raise DimensionMismatch(
                 f"layer {self.layer_id!r} weight is {self.weight.shape}, "
@@ -98,7 +94,8 @@ class Workload:
 
 
 def load_workload(manifest_path) -> Workload:
-    """Read a workload manifest; matrix paths resolve relative to it."""
+    """Read a workload manifest; matrix paths resolve relative to it, and
+    keys it does not know are ignored."""
     manifest_path = Path(manifest_path)
     obj = read_json(manifest_path)
     if not isinstance(obj, dict):
@@ -130,16 +127,7 @@ def load_workload(manifest_path) -> Workload:
         weight = None if weight_path is None else load_matrix(base_dir / weight_path)
         if calibration_dir is not None:
             calibration_dir = str(base_dir / calibration_dir)
-        layers.append(
-            LayerSpec(
-                layer_id,
-                *dims,
-                weight,
-                weights_sparse=entry.get("weights_sparse", False),
-                acts_sparse=entry.get("acts_sparse", False),
-                calibration_dir=calibration_dir,
-            )
-        )
+        layers.append(LayerSpec(layer_id, *dims, weight, calibration_dir))
     return Workload(name=name, layers=tuple(layers), baseline_quality=baseline)
 
 
@@ -318,8 +306,6 @@ def _write_handoff(tmp: Path, workload: Workload, assignment: Assignment, ranked
             "n": ly.gemm_n,
             "k": ly.gemm_k,
             "config": cfg.canonical() if cfg is not None else "dense",
-            "weights_sparse": ly.weights_sparse,
-            "acts_sparse": ly.acts_sparse,
             "weight": None,
         }
         if ly.weight is not None:

@@ -336,19 +336,6 @@ class TestGemmCost:
         # starving the decomposition stage costs time, not energy
         assert report.energy_pj == baseline.energy_pj
 
-    def test_gating_scales_mac_energy_only(self):
-        plain = gemm_cost(HW, 128, 128, 128, CFG("4:8"))
-        gated = gemm_cost(HW, 128, 128, 128, CFG("4:8"), input_sparsity_gating=0.5)
-        assert gated.breakdown["mac"] == plain.breakdown["mac"] / 2
-        assert gated.cycles == plain.cycles
-        assert gated.mac_count == plain.mac_count
-        for key in ("rf", "l1", "l2", "dram", "tasd_unit"):
-            assert gated.breakdown[key] == plain.breakdown[key]
-        zeroed = gemm_cost(HW, 128, 128, 128, CFG("4:8"), input_sparsity_gating=1.0)
-        assert zeroed.breakdown["mac"] == 0.0
-        with pytest.raises(ValueError):
-            gemm_cost(HW, 128, 128, 128, CFG("4:8"), input_sparsity_gating=1.5)
-
     def test_report_is_frozen(self):
         report = gemm_cost(HW, 16, 16, 16)
         assert isinstance(report, CostReport)
@@ -402,19 +389,11 @@ class TestWorkloadCost:
         dense, _ = workload_cost(HW, wl)
         assert sparse.edp < dense.edp
 
-    def test_gating_stats_forwarded(self):
-        wl = three_layer_workload()
-        plain, _ = workload_cost(HW, wl)
-        gated, _ = workload_cost(HW, wl, gating_stats={"L0": 1.0})
-        assert gated.energy_pj < plain.energy_pj
-        assert gated.cycles == plain.cycles
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"assignment": {"ZZ": CFG("2:8")}},
             {"assignment": {"L0": CFG("2:8"), "ZZ": CFG("4:8")}},
-            {"gating_stats": {"ZZ": 0.5}},
         ],
     )
     def test_unknown_layer_ids_rejected(self, kwargs):

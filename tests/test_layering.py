@@ -245,6 +245,27 @@ def test_every_hwspec_field_is_read():
     assert {f.name for f in dataclasses.fields(HwSpec)} - read == set()
 
 
+def test_every_layerspec_field_is_read():
+    # a field that no search, oracle or cost reads is an input that changes
+    # nothing; the checks, the manifest loader and the handoff writer touch
+    # every field, so they do not count
+    exempt = {"__post_init__", "load_workload", "_write_handoff"}
+    read = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name in exempt:
+            return
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in ("ly", "layer")):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for module in MODULES:
+        visit(ast.parse((PACKAGE / f"{module}.py").read_text()))
+    assert {f.name for f in dataclasses.fields(tasd.workload.LayerSpec)} - read == set()
+
+
 def test_kernels_use_no_unpinned_product():
     # BLAS does not pin its summation order, so the kernels use no matrix
     # product operator or dot-like call, and einsum only with a literal

@@ -106,7 +106,6 @@ class TestNmPattern:
         assert str(p) == "2:4"
 
     def test_density_and_dense_flag(self):
-        assert NmPattern(2, 8).density == 0.25
         assert NmPattern(4, 4).is_dense
         assert not NmPattern(3, 4).is_dense
 

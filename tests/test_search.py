@@ -248,6 +248,8 @@ class TestPseudoDensity:
     @settings(max_examples=100, deadline=None)
     def test_matches_prefix_oracle(self, values, rho):
         result = pseudo_density(values, rho)
+        # a raveled sample and its 2-D form give the same value
+        assert pseudo_density(np.reshape(values, (-1, 1)), rho) == result
         ordered = sorted(values, reverse=True)
         total = sum(ordered)  # impl accumulates in descending order
         if total == 0.0:

@@ -59,13 +59,11 @@ class TestLayerSpec:
                 LayerSpec("L0", *bad)
 
     @pytest.mark.parametrize(
-        "dims, flags",
-        [((2.0, 1, 1), {}), ((1, True, 1), {}), ((1, 1, 1), {"weights_sparse": 1}),
-         ((1, 1, 1), {"acts_sparse": "yes"})],
+        "dims", [(2.0, 1, 1), (1, True, 1)], ids=["dims0-flags0", "dims1-flags1"]
     )
-    def test_typed_fields_required(self, dims, flags):
+    def test_typed_fields_required(self, dims):
         with pytest.raises(SchemaError):
-            LayerSpec("L0", *dims, **flags)
+            LayerSpec("L0", *dims)
 
     def test_weight_shape_must_match_m_by_k(self):
         with pytest.raises(DimensionMismatch):
@@ -154,7 +152,6 @@ class TestLoadWorkload:
         assert wl.baseline_quality == 0.91
         assert [ly.layer_id for ly in wl.layers] == ["L0", "L1"]
         assert np.array_equal(wl.layer("L0").weight, weight)
-        assert wl.layer("L0").weights_sparse is True
         assert wl.layer("L0").calibration_dir == str(tmp_path / "calib")
         assert wl.layer("L1").weight is None
 
@@ -178,8 +175,8 @@ class TestLoadWorkload:
             ("m", 8.7),
             ("n", True),
             ("k", "8"),
-            ("weights_sparse", "false"),
-            ("acts_sparse", 1),
+            ("m", None),
+            ("k", 8.0),
             ("baseline_quality", True),
             ("baseline_quality", "0.9"),
             ("name", 5),
@@ -194,14 +191,22 @@ class TestLoadWorkload:
         ],
     )
     def test_mistyped_values_rejected(self, tmp_path, key, value):
-        # each of these used to be coerced: 8.7 to 8, true to 1, "8" to 8,
-        # "false" to True, "0.9" to 0.9, a null id to "None" and ["x"] to
-        # "['x']"; a numeric or list path escaped as a TypeError
+        # most of these used to be coerced: 8.7 to 8, true to 1, "8" to 8,
+        # "0.9" to 0.9, a null id to "None" and ["x"] to "['x']"; a numeric
+        # or list path escaped as a TypeError
         layer = {"id": "a", "m": 8, "n": 8, "k": 8}
         obj = {"name": "x", "baseline_quality": 0.9, "layers": [layer]}
         (obj if key in ("baseline_quality", "name") else layer)[key] = value
         with pytest.raises(SchemaError):
             load_workload(self.write_manifest(tmp_path, obj))
+
+    @pytest.mark.parametrize("key, value", [("weights_sparse", "false"), ("acts_sparse", 1)])
+    def test_unknown_keys_ignored(self, tmp_path, key, value):
+        # older manifests carry sparse flags that nothing reads; even a
+        # mistyped one loads
+        layer = {"id": "a", "m": 8, "n": 8, "k": 8, key: value}
+        obj = {"name": "x", "baseline_quality": 0.9, "layers": [layer]}
+        assert load_workload(self.write_manifest(tmp_path, obj)).layer("a").gemm_k == 8
 
     def test_null_paths_mean_absent(self, tmp_path):
         # the handoff manifest of CommandOracle writes "weight": null
@@ -442,6 +447,9 @@ class TestExternalCommandOracle:
         assert manifest["name"] == "toy"
         assert manifest["baseline_quality"] == 0.9
         by_id = {entry["id"]: entry for entry in manifest["layers"]}
+        assert all(
+            set(entry) == {"id", "m", "n", "k", "config", "weight"} for entry in manifest["layers"]
+        )
         assert by_id["L0"]["config"] == "2:4"
         assert by_id["L1"]["config"] == "dense"
         assert (by_id["L0"]["m"], by_id["L0"]["n"], by_id["L0"]["k"]) == (1, 2, 4)
@@ -450,6 +458,14 @@ class TestExternalCommandOracle:
         handed = load_matrix(copy_dir / by_id["L0"]["weight"])
         expected = approximate(wl.layer("L0").weight, CFG("2:4"))
         assert np.array_equal(handed, expected)
+        # the handoff is itself a workload manifest
+        loaded = load_workload(copy_dir / "manifest.json")
+        assert [(ly.layer_id, ly.gemm_m, ly.gemm_n, ly.gemm_k) for ly in loaded.layers] == [
+            (ly.layer_id, ly.gemm_m, ly.gemm_n, ly.gemm_k) for ly in wl.layers
+        ]
+        assert loaded.baseline_quality == 0.9
+        assert np.array_equal(loaded.layer("L0").weight, expected)
+        assert loaded.layer("L1").weight is None
 
     def test_layer_ids_cannot_place_files(self, tmp_path, monkeypatch):
         import tempfile
