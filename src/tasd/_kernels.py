@@ -1,5 +1,6 @@
-"""Compute kernels: greedy per-block extraction, deterministic dense
-matmul and compressed-times-dense matmul, vectorized in numpy.
+"""Compute kernels, vectorized in numpy: per-block magnitude ranks (the
+package's one greedy order), extraction as a window of those ranks,
+deterministic dense matmul and compressed-times-dense matmul.
 
 Both products pin the same summation order: ascending k per output
 element, one rounding per multiply and per add, no fused multiply-add.
@@ -26,37 +27,37 @@ from __future__ import annotations
 import numpy as np
 
 
-def extract_term_blocks(residual, values, indices, n, m):
-    """Move the top-n magnitudes of every m-block out of ``residual``.
+def rank_blocks(blocks):
+    """Rank of each magnitude along the last axis: 0 for the largest, ties
+    to the lowest index. One stable sort, into the smallest unsigned dtype
+    that holds the block width."""
+    m = blocks.shape[-1]
+    mags = np.abs(blocks)
+    order = np.argsort(np.negative(mags, out=mags), axis=-1, kind="stable")
+    ranks = np.empty(order.shape, dtype=np.min_scalar_type(m))
+    np.put_along_axis(ranks, order, np.arange(m, dtype=ranks.dtype), axis=-1)
+    return ranks
 
-    residual: (rows, blocks*m) float64, modified in place.
-    values:   (rows, blocks, n) float64, pre-zeroed output.
-    indices:  (rows, blocks, n) int64, pre-filled with -1.
 
-    Ties in magnitude keep the lowest column index; exact zeros are never
-    taken, so blocks with fewer than n non-zeros yield short slots.
-    Surviving slots are stored in ascending column order.
-    """
-    rows, padded_cols = residual.shape
-    blocks = padded_cols // m
-    flat = residual.reshape(rows * blocks, m)
-    mags = np.abs(flat)
-    # stable sort on negated magnitude: equal entries keep ascending column
-    order = np.argsort(-mags, axis=1, kind="stable")[:, :n]
-    rowid = np.repeat(np.arange(rows * blocks), n)
-    colid = order.reshape(-1)
-    keep = mags[rowid, colid] > 0.0
-    rowid = rowid[keep]
-    colid = colid[keep]
-    mask = np.zeros((rows * blocks, m), dtype=bool)
-    mask[rowid, colid] = True
-    br, bc = np.nonzero(mask)  # column-ascending within each block
-    counts = np.bincount(br, minlength=rows * blocks)
-    starts = np.cumsum(counts) - counts
-    slot = np.arange(br.size) - starts[br]
-    values.reshape(rows * blocks, n)[br, slot] = flat[br, bc]
-    indices.reshape(rows * blocks, n)[br, slot] = bc
+def extract_term_blocks(residual, n, m):
+    """Move the non-zeros ranked below n in each m-block out of ``residual``
+    ((rows, blocks*m), modified in place) and return them packed: values
+    and indices, each (rows, blocks, n), hold the kept slots in ascending
+    column order, then 0.0 and -1."""
+    flat = residual.reshape(-1, m)
+    keep = (rank_blocks(flat) < n) & (flat != 0.0)
+    # outputs before the packing temporaries: the other order made glibc
+    # trim the heap between sweep draws (~6000 more page faults a job)
+    values = np.zeros((flat.shape[0], n))
+    indices = np.full(values.shape, -1, dtype=np.int64)
+    br, bc = np.nonzero(keep)  # column-ascending within each block
+    counts = np.bincount(br, minlength=flat.shape[0])
+    slot = np.arange(br.size) - (np.cumsum(counts) - counts)[br]
+    values[br, slot] = flat[br, bc]
+    indices[br, slot] = bc
     flat[br, bc] = 0.0
+    shape = (residual.shape[0], -1, n)
+    return values.reshape(shape), indices.reshape(shape)
 
 
 # Rows per tile of the dense matmul's row steps. A tile's sort, step

@@ -157,7 +157,7 @@ def error_sweep(
         errors += score_chunk(draws[lo:lo + count])
     # errs[si, ci]: the cell's errors in seed order, contiguous like the
     # per-cell arrays they replace, so mean and std round as before
-    errs = np.reshape(errors, (len(sparsities), len(seeds), -1)).transpose(0, 2, 1).copy()
+    errs = np.reshape(errors, (len(sparsities), len(seeds), len(configs))).transpose(0, 2, 1).copy()
     table = []
     for si, sp in enumerate(sparsities):
         for ci, cfg in enumerate(configs):

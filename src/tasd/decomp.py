@@ -10,7 +10,7 @@ A ``RankedMatrix`` holds everything derived from one matrix, so that
 work is shared when the matrix meets many configs: each series prefix is
 extracted once, and, since a same-m series of total width sum_n keeps
 exactly the non-zeros whose magnitude rank in their block is below sum_n,
-every same-m residual comes from one stable sort per block size.
+every same-m residual comes from one rank pass per block size.
 """
 
 from __future__ import annotations
@@ -19,11 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import rank_blocks
 from ._parallel import map_ordered
+from .errors import DimensionMismatch
 from .matrix import (
     DenseMatrix,
     NmCompressed,
     TasdConfig,
+    _is_int,
     as_matrix,
     config_of,
     extract_term,
@@ -68,16 +71,13 @@ def approximate(mat, config) -> DenseMatrix:
 
 
 def block_ranks(mat, m: int) -> np.ndarray:
-    """Rank of each entry's magnitude within its m-block of its row: 0 for
-    the largest, ties to the lowest column, the order in which greedy
-    extraction takes entries. One stable sort; the dtype is the smallest
-    unsigned integer that holds m."""
+    """``_kernels.rank_blocks`` over the m-blocks of each row: 0 for the
+    largest magnitude, ties to the lowest column, the order in which
+    greedy extraction takes entries. A partial block is padded with zeros,
+    which rank after every real entry."""
     arr = as_matrix(mat)
     rows, cols = arr.shape
-    mags = np.abs(pad_blocks(arr, m).reshape(rows, -1, m))
-    order = np.argsort(-mags, axis=2, kind="stable")
-    ranks = np.empty(order.shape, dtype=np.min_scalar_type(m))
-    np.put_along_axis(ranks, order, np.arange(m, dtype=ranks.dtype), axis=2)
+    ranks = rank_blocks(pad_blocks(arr, m).reshape(rows, -1, m))
     return ranks.reshape(rows, -1)[:, :cols]
 
 
@@ -89,10 +89,10 @@ class RankedMatrix:
     that decompose one uncached prefix at once both extract it, to the
     same bytes.
 
-    Extraction never takes an exact zero and moves entries in rank order,
-    so a same-m series keeps the non-zeros ranked below its sum_n. Each
-    residual is built on request and equals, byte for byte, the one from
-    ``decompose``; a mixed-m residual comes from the prefix cache.
+    A term of width n takes the non-zeros ranked below n, so a same-m
+    series keeps those ranked below its sum_n. Each residual is built on
+    request and equals, byte for byte, the one from ``decompose``; a
+    mixed-m residual comes from the prefix cache.
     """
 
     def __init__(self, mat):
@@ -168,6 +168,8 @@ def random_matrix(rows: int, cols: int, density: float, dist: str, seed) -> Dens
     the counter-based generator takes each through a ``SeedSequence``, so
     streams are reproducible and cheap to split per sweep cell.
     """
+    if not (_is_int(rows) and _is_int(cols) and rows > 0 and cols > 0):
+        raise DimensionMismatch(f"matrix dims must be positive, got {rows}x{cols}")
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     if dist not in DISTRIBUTIONS:

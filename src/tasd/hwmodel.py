@@ -224,15 +224,17 @@ def gemm_cost(
     gemm_m: int,
     gemm_n: int,
     gemm_k: int,
-    config: TasdConfig | None = None,
+    config=None,
 ) -> CostReport:
-    """Cycles, per-level energy, and EDP of one (possibly decomposed) GEMM.
+    """Cycles, per-level energy, and EDP of one (possibly decomposed) GEMM;
+    ``config`` is None or anything ``config_of`` takes.
 
     Dense execution (config None or a single n=m term) bypasses the
     decomposition units entirely: no per-block extraction energy, no
     metadata traffic, no extra C passes. A cost too large for a float is a
     ``SchemaError``.
     """
+    config = None if config is None else config_of(config)
     if not all(_is_int(d) and d >= 0 for d in (gemm_m, gemm_n, gemm_k)):
         raise ValueError("GEMM dims must be non-negative integers")
     if gemm_m == 0 or gemm_n == 0 or gemm_k == 0:
@@ -274,18 +276,12 @@ def _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config) -> CostReport:
 
     macs = gemm_m * gemm_n * sum(extents)
 
-    # A operand: compressed values plus block indices, once per term,
-    # DRAM -> L2 -> RF
+    # A operand: compressed values plus block indices (none when dense),
+    # once per term, DRAM -> L2 -> RF
     a_elems = sum(gemm_m * ext for ext in extents)
     blocks_per_term = gemm_m * _ceil_div(gemm_k, m)
-    if dense:
-        meta_elems = 0.0
-    else:
-        bits = max(1, math.ceil(math.log2(m)))
-        meta_bytes = sum(
-            blocks_per_term * _ceil_div(n * bits, 8) for n in ns
-        )
-        meta_elems = meta_bytes / hw.elem_bytes
+    bits = max(1, math.ceil(math.log2(m)))
+    meta_elems = sum(blocks_per_term * _ceil_div(n * bits, 8) for n in ns) / hw.elem_bytes
     a_traffic = a_elems + meta_elems
 
     # B operand: DRAM once; one L2 sweep per term per row panel
@@ -298,16 +294,13 @@ def _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config) -> CostReport:
     c_dram = gemm_m * gemm_n
 
     energy = hw.energy_pj
-    tasd_energy = (
-        0.0 if dense else blocks_per_term * sum(ns) * energy["tasd_unit"]
-    )
     breakdown = {
         "mac": macs * energy["mac"],
         "rf": a_traffic * energy["rf_access"],
         "l1": c_l1 * energy["l1_access"],
         "l2": (a_traffic + b_l2) * energy["l2_access"],
         "dram": (a_traffic + b_dram + c_dram) * energy["dram_access"],
-        "tasd_unit": tasd_energy,
+        "tasd_unit": blocks_per_term * sum(ns) * energy["tasd_unit"],
     }
     return _report(cycles, stalls, macs, breakdown, _GEMM_OVERFLOW)
 

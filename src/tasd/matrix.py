@@ -238,8 +238,10 @@ def dense_config(menu: PatternMenu) -> TasdConfig:
     return TasdConfig((NmPattern(menu.m, menu.m),))
 
 
-def is_expressible(config: TasdConfig, menu: PatternMenu) -> bool:
-    """Whether the target can execute the series (dense always can)."""
+def is_expressible(config, menu: PatternMenu) -> bool:
+    """Whether the target can execute the series (dense always can);
+    ``config`` is anything ``config_of`` takes."""
+    config = config_of(config)
     if config.is_dense:
         return True
     if not config.same_m or config.terms[0].m != menu.m:
@@ -314,10 +316,7 @@ def extract_term(mat, pattern: NmPattern):
     arr = as_matrix(mat)
     rows, cols = arr.shape
     padded = pad_blocks(arr, pattern.m)
-    blocks = padded.shape[1] // pattern.m
-    values = np.zeros((rows, blocks, pattern.n))
-    indices = np.full((rows, blocks, pattern.n), -1, dtype=np.int64)
-    _kernels.extract_term_blocks(padded, values, indices, pattern.n, pattern.m)
+    values, indices = _kernels.extract_term_blocks(padded, pattern.n, pattern.m)
     return NmCompressed(pattern, rows, cols, values, indices), freeze(padded[:, :cols])
 
 

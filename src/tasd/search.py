@@ -156,16 +156,9 @@ def sparsity_select(layer_sparsity: float, alpha: float, menu: PatternMenu) -> T
     target = layer_sparsity + alpha
     if not np.isfinite(target):
         raise NonFiniteEntry(f"sparsity {layer_sparsity} plus alpha {alpha} is not finite")
-    choice = dense_config(menu)
-    if target <= 0.0:
-        return choice
-    best_h = -1.0
-    for cfg in enumerate_configs(menu):
-        h = cfg.approximated_sparsity
-        if h < target and h > best_h:
-            best_h = h
-            choice = cfg
-    return choice
+    # configs come by coverage ascending, so the first that fits is the sparsest
+    fits = (cfg for cfg in enumerate_configs(menu) if cfg.approximated_sparsity < target)
+    return next(fits, dense_config(menu))
 
 
 def sample_sparsities(samples, rho: float | None = None) -> list[float]:

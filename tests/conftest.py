@@ -131,6 +131,20 @@ def py_extract(mat, n: int, m: int):
     return term, residual, values, indices
 
 
+def py_ranks(mat, m: int) -> np.ndarray:
+    """Plain-Python block ranks: each m-wide block of each row (the last
+    may be partial) numbers its columns 0, 1, ... in (-|x|, column) order."""
+    arr = np.asarray(mat, dtype=np.float64)
+    rows, cols = arr.shape
+    ranks = np.zeros((rows, cols), dtype=np.int64)
+    for r in range(rows):
+        for start in range(0, cols, m):
+            block = range(start, min(start + m, cols))
+            for rank, c in enumerate(sorted(block, key=lambda c: (-abs(arr[r, c]), c))):
+                ranks[r, c] = rank
+    return ranks
+
+
 def max_subset_magnitude(values, k: int) -> float:
     """Largest total magnitude any k non-zeros of ``values`` can reach,
     found by exhaustive enumeration (use on blocks of width <= 8)."""

@@ -490,6 +490,11 @@ class TestErrorSweep:
         with pytest.raises(ValueError, match="seed"):
             error_sweep(dims=(8, 8), configs=("2:4",), seeds=[])
 
+    def test_empty_axes_give_no_rows(self):
+        # no sparsities used to fail in numpy's reshape
+        assert error_sweep(dims=(8, 8), a_sparsities=[], configs=("2:4",), seeds=[0]) == []
+        assert error_sweep(dims=(8, 8), a_sparsities=[0.5], configs=[], seeds=[0]) == []
+
     def test_default_config_grid(self):
         assert list(ERROR_CONFIGS) == [
             f"{n}:4" for n in range(1, 5)

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 import tasd._kernels
 import tasd.decomp
 from tasd import (
+    DimensionMismatch,
     NmPattern,
     NonFiniteEntry,
     RankedMatrix,
@@ -37,6 +38,7 @@ from conftest import (
     nnz,
     pool_configs,
     py_extract,
+    py_ranks,
     record_calls,
 )
 
@@ -175,6 +177,17 @@ class TestExtractTerm:
 
 # ---------------------------------------------------------------------------
 # series decomposition
+
+
+class TestBlockRanks:
+    @pytest.mark.parametrize("m", range(1, 17))
+    @given(mat=tied_matrices())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_pure_python_reference(self, m, mat):
+        # partial blocks, ties and both signed zeros, at every block width
+        ranks = tasd.decomp.block_ranks(mat, m)
+        assert ranks.dtype == np.min_scalar_type(m)
+        assert ranks.tolist() == py_ranks(mat, m).tolist()
 
 
 class TestDecompose:
@@ -461,6 +474,12 @@ class TestRandomMatrix:
             random_matrix(4, 4, 1.5, "uniform", seed=0)
         with pytest.raises(ValueError):
             random_matrix(4, 4, 0.5, "cauchy", seed=0)
+
+    @pytest.mark.parametrize("dims", [(0, 4), (4, 0), (-1, 4), (2.5, 4), (4, True)])
+    def test_rejects_non_positive_or_non_integer_dims(self, dims):
+        # (0, 4) gave an empty matrix, -1 numpy's ValueError, 2.5 a TypeError
+        with pytest.raises(DimensionMismatch, match="dims must be positive"):
+            random_matrix(*dims, 0.5, "uniform", seed=0)
 
 
 class TestSweepSynthetic:

@@ -12,6 +12,7 @@ from tasd import (
     HwSpec,
     LayerSpec,
     MixedM,
+    NmPattern,
     NotExpressible,
     SchemaError,
     TasdConfig,
@@ -276,6 +277,15 @@ class TestGemmCost:
     def test_dims_must_be_integers_with_a_finite_cost(self, dims, error):
         with pytest.raises(error):
             gemm_cost(HW, *dims)
+
+    @pytest.mark.parametrize("text", ["2:8", "8:8", "4:8+1:8"])
+    def test_any_config_spec(self, text):
+        # a string or an NmPattern used to fail with an AttributeError
+        specs = [text, CFG(text), *([CFG(text).terms[0]] if "+" not in text else [])]
+        reports = [gemm_cost(HW, 64, 48, 40, spec) for spec in specs]
+        assert all(report == reports[0] for report in reports)
+        with pytest.raises(NotExpressible):
+            gemm_cost(HW, 64, 48, 40, "3:8")
 
     def test_unsupported_configs_rejected(self):
         for bad in ("3:8", "7:8", "2:4", "2:4+2:8", "1:8+1:8+1:8"):

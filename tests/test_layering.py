@@ -288,3 +288,16 @@ def test_kernels_use_no_unpinned_product():
                     or any(k.arg == "optimize" for k in node.keywords)):
                 found.append(f"einsum on line {node.lineno}")
     assert found == []
+
+
+def test_only_kernels_sort():
+    # the greedy order (largest magnitude first, ties to the lowest column)
+    # is ranked in one place, ``_kernels.rank_blocks``, and extraction reads
+    # those ranks; no other module argsorts to order entries its own way
+    found = [
+        f"{module}.py line {node.lineno}"
+        for module in sorted(MODULES - {"_kernels"})
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if "argsort" in (getattr(node, "attr", None), getattr(node, "id", None))
+    ]
+    assert found == []

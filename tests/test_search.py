@@ -165,6 +165,13 @@ class TestIsExpressible:
         assert not is_expressible(TasdConfig.parse("1:8+1:8+1:8"), VEGETA_MENU)
         assert not is_expressible(TasdConfig.parse("2:4+2:8"), VEGETA_MENU)
 
+    def test_any_config_spec(self):
+        # a string or an NmPattern used to fail with an AttributeError
+        assert is_expressible("4:8+1:8", VEGETA_MENU)
+        assert is_expressible(NmPattern(2, 8), VEGETA_MENU)
+        assert not is_expressible("3:8", VEGETA_MENU)
+        assert not is_expressible(NmPattern(2, 4), VEGETA_MENU)
+
 
 class TestSparsitySelect:
     H_MENU = PatternMenu(4, frozenset({1, 2, 3}), 1)  # H = {0, .25, .5, .75}
