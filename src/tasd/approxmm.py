@@ -15,7 +15,7 @@ from ._parallel import map_ordered, resolve_workers
 from .decomp import Decomposition, RankedMatrix, random_matrix
 from .errors import DegenerateProduct, DimensionMismatch
 from .matrix import (
-    DenseMatrix, NmCompressed, _check_indices, _is_int, as_matrix, config_of, freeze, render_csv,
+    DenseMatrix, NmCompressed, _check_indices, as_matrix, config_of, freeze, held, render_csv,
 )
 
 ERROR_CSV_HEADER = "a_sparsity,config,approx_sparsity,mean_rel_error,std_rel_error,seeds"
@@ -63,20 +63,19 @@ def _series_product(terms, rows: int, cols: int, b):
 
 
 class ProductError:
-    """|| (A - approx(A)) @ B_i ||_F / || A @ B_i ||_F for each sample B_i, a
-    block of ``widths`` consecutive columns of b (by default one: all of b).
-    Widths that are not positive integers tiling b's columns are a
-    ``DimensionMismatch``. Residuals come from one ``RankedMatrix`` of A,
-    and a zero reference norm is a ``DegenerateProduct`` naming the sample."""
+    """|| (A - approx(A)) @ B_i ||_F / || A @ B_i ||_F for each B_i of ``samples``,
+    matrices with one common row count (else a ``DimensionMismatch``), held
+    side by side in one array (a lone sample as it is). Residuals come from
+    one ``RankedMatrix`` of A, and a zero reference norm is a
+    ``DegenerateProduct`` naming the sample."""
 
-    def __init__(self, a, b, widths=None):
+    def __init__(self, a, samples):
         self.ranked = RankedMatrix(a)
-        self.b = as_matrix(b)
-        if widths is None:
-            widths = [self.b.shape[1]]
-        elif not (all(_is_int(w) and w > 0 for w in widths) and sum(widths) == self.b.shape[1]):
-            raise DimensionMismatch(f"widths {widths} do not tile b's {self.b.shape[1]} columns")
-        self.edges = np.cumsum((0, *widths))
+        samples = [as_matrix(b) for b in samples]
+        if len(rows := {b.shape[0] for b in samples}) != 1:
+            raise DimensionMismatch(f"samples need one common row count, got {sorted(rows)}")
+        self.b = held(samples[0]) if len(samples) == 1 else freeze(np.hstack(samples))
+        self.edges = np.cumsum((0, *(b.shape[1] for b in samples)))
         self.norms = self._norms(self.ranked.mat)
         if 0.0 in self.norms:
             raise DegenerateProduct(
@@ -100,7 +99,7 @@ class ProductError:
 
 def relative_error(a, config, b) -> float:
     """|| (A - approx(A)) @ B ||_F / || A @ B ||_F."""
-    return ProductError(a, b).errors(config)[0]
+    return ProductError(a, [b]).errors(config)[0]
 
 
 def error_sweep(
@@ -138,7 +137,7 @@ def error_sweep(
             rows, cols, 1.0 - sparsities[si], "uniform", seed=(master_seed, 0, si, seed)
         )
         b = random_matrix(cols, cols, 1.0, "uniform", seed=(master_seed, 1, si, seed))
-        scorer = ProductError(a, b)
+        scorer = ProductError(a, [b])
         for m in ms:
             scorer.ranked.ranks(m)
         return scorer

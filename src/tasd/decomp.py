@@ -21,16 +21,16 @@ import numpy as np
 
 from ._kernels import rank_blocks
 from ._parallel import map_ordered
-from .errors import DimensionMismatch
 from .matrix import (
     DenseMatrix,
     NmCompressed,
     TasdConfig,
-    _is_int,
+    _check_dims,
     as_matrix,
     config_of,
     extract_term,
     freeze,
+    held,
     pad_blocks,
     render_csv,
 )
@@ -96,7 +96,7 @@ class RankedMatrix:
     """
 
     def __init__(self, mat):
-        self.mat = as_matrix(mat)
+        self.mat = held(as_matrix(mat))
         self._ranks: dict[int, np.ndarray] = {}
         # term prefix -> (its last term, the residual it leaves)
         self._steps = {(): (None, self.mat)}
@@ -168,8 +168,7 @@ def random_matrix(rows: int, cols: int, density: float, dist: str, seed) -> Dens
     the counter-based generator takes each through a ``SeedSequence``, so
     streams are reproducible and cheap to split per sweep cell.
     """
-    if not (_is_int(rows) and _is_int(cols) and rows > 0 and cols > 0):
-        raise DimensionMismatch(f"matrix dims must be positive, got {rows}x{cols}")
+    _check_dims(rows, cols)
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     if dist not in DISTRIBUTIONS:

@@ -3,7 +3,9 @@ pattern menus they are drawn from, the packed structured-sparse format
 with its greedy extraction pass, and file IO (matrices, JSON, CSV).
 
 A dense matrix is a read-only, C-contiguous float64 ndarray; ``new_dense``
-is the validating constructor. N:M blocks run along rows (contiguous
+is the validating constructor. An object keeps each array it is given
+through ``held``, so it owns a read-only array and a later write by the
+caller cannot change its results. N:M blocks run along rows (contiguous
 columns). When the column count is not a multiple of m, the trailing
 partial block is held to the same at-most-n bound.
 """
@@ -39,21 +41,12 @@ _PATTERN_RE = re.compile(r"^\s*(\d+)\s*:\s*(\d+)\s*$")
 
 
 def new_dense(rows: int, cols: int, data) -> DenseMatrix:
-    """Build a validated rows x cols matrix from flat or 2-D data."""
-    if rows <= 0 or cols <= 0:
-        raise DimensionMismatch(f"matrix dims must be positive, got {rows}x{cols}")
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.size != rows * cols:
-        raise DimensionMismatch(
-            f"need {rows * cols} entries for a {rows}x{cols} matrix, got {arr.size}"
-        )
-    if arr.ndim == 2 and arr.shape != (rows, cols):
-        raise DimensionMismatch(f"data shaped {arr.shape}, expected ({rows}, {cols})")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteEntry("matrix entries must be finite")
-    out = np.array(arr, dtype=np.float64, order="C").reshape(rows, cols)
-    out.setflags(write=False)
-    return out
+    """Build a validated rows x cols matrix from a copy of flat or 2-D data."""
+    _check_dims(rows, cols)
+    arr = np.array(data, dtype=np.float64)
+    if arr.shape not in ((rows * cols,), (rows, cols)):
+        raise DimensionMismatch(f"data shaped {arr.shape} does not fill a {rows}x{cols} matrix")
+    return freeze(as_matrix(arr.reshape(rows, cols)))
 
 
 def as_matrix(mat) -> DenseMatrix:
@@ -62,8 +55,7 @@ def as_matrix(mat) -> DenseMatrix:
     arr = np.asarray(mat, dtype=np.float64)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if arr.size == 0:
-        raise DimensionMismatch(f"matrix dims must be positive, got {arr.shape[0]}x{arr.shape[1]}")
+    _check_dims(*arr.shape)
     if not np.isfinite(arr).all():
         raise NonFiniteEntry("matrix entries must be finite")
     return arr
@@ -85,10 +77,23 @@ def _is_number(value) -> bool:
         return False
 
 
+def _check_dims(rows, cols) -> None:
+    """Refuse dims that are not positive integers (bools included)."""
+    if not (_is_int(rows) and _is_int(cols) and rows > 0 and cols > 0):
+        raise DimensionMismatch(f"matrix dims must be positive integers, got {rows}x{cols}")
+
+
 def freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    """``arr`` (a fresh array nobody else holds), made C-contiguous and read-only."""
+    arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+def held(arr: np.ndarray) -> np.ndarray:
+    """The array an object keeps of one it was given: a read-only input as it
+    is, a read-only copy of a writable one. The caller's flags never change."""
+    return freeze(arr.copy()) if arr.flags.writeable else arr
 
 
 def sparsity(mat) -> float:
@@ -255,7 +260,7 @@ def is_expressible(config, menu: PatternMenu) -> bool:
 class NmCompressed:
     """One structured term: packed values plus intra-block column indices.
 
-    values:  (rows, blocks_per_row, n) float64, zero-padded.
+    values:  (rows, blocks_per_row, n) finite float64, zero-padded.
     indices: (rows, blocks_per_row, n) int64; -1 marks an unused slot.
     Valid slots within a block carry strictly increasing indices.
     """
@@ -267,18 +272,16 @@ class NmCompressed:
     indices: np.ndarray
 
     def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
-            raise DimensionMismatch("compressed dims must be positive")
+        _check_dims(self.rows, self.cols)
         shape = (self.rows, self.blocks_per_row, self.pattern.n)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        indices = np.ascontiguousarray(self.indices, dtype=np.int64)
+        values = held(np.ascontiguousarray(self.values, dtype=np.float64))
+        indices = held(np.ascontiguousarray(self.indices, dtype=np.int64))
         if values.shape != shape or indices.shape != shape:
             raise DimensionMismatch(
-                f"packed arrays must be shaped {shape}, got "
-                f"{values.shape} and {indices.shape}"
+                f"packed arrays must be shaped {shape}, got {values.shape} and {indices.shape}"
             )
-        values.setflags(write=False)
-        indices.setflags(write=False)
+        if not np.isfinite(values).all():
+            raise NonFiniteEntry("packed values must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "indices", indices)
 
@@ -317,7 +320,8 @@ def extract_term(mat, pattern: NmPattern):
     rows, cols = arr.shape
     padded = pad_blocks(arr, pattern.m)
     values, indices = _kernels.extract_term_blocks(padded, pattern.n, pattern.m)
-    return NmCompressed(pattern, rows, cols, values, indices), freeze(padded[:, :cols])
+    term = NmCompressed(pattern, rows, cols, freeze(values), freeze(indices))
+    return term, freeze(padded[:, :cols])
 
 
 def encode(mat, pattern: NmPattern) -> NmCompressed:
@@ -398,7 +402,7 @@ def _parse_binary(raw: bytes) -> DenseMatrix:
             f"payload is {len(raw) - head} bytes, expected {expected - head}"
         )
     data = np.frombuffer(raw, dtype="<f8", offset=head).reshape(rows, cols)
-    return new_dense(rows, cols, data.copy())
+    return new_dense(rows, cols, data)
 
 
 def _parse_csv(raw: bytes, path) -> DenseMatrix:

@@ -28,13 +28,12 @@ from .errors import (
     DegenerateProduct,
     DimensionMismatch,
     MissingCalibration,
-    NonFiniteEntry,
     OracleFailure,
     SchemaError,
 )
 from .matrix import (
-    Assignment, DenseMatrix, TasdConfig, _is_int, _is_number, load_matrix, read_json, save_matrix,
-    write_json,
+    Assignment, DenseMatrix, TasdConfig, _is_int, _is_number, as_matrix, held, load_matrix,
+    read_json, save_matrix, write_json,
 )
 
 
@@ -52,13 +51,13 @@ class LayerSpec:
             raise SchemaError(f"layer id {self.layer_id!r} must be a string")
         if not all(_is_int(d) and d > 0 for d in (self.gemm_m, self.gemm_n, self.gemm_k)):
             raise SchemaError(f"layer {self.layer_id!r} needs positive integer GEMM dims")
-        if self.weight is not None and self.weight.shape != (self.gemm_m, self.gemm_k):
-            raise DimensionMismatch(
-                f"layer {self.layer_id!r} weight is {self.weight.shape}, "
-                f"expected ({self.gemm_m}, {self.gemm_k})"
-            )
-        if self.weight is not None and not np.isfinite(self.weight).all():
-            raise NonFiniteEntry(f"layer {self.layer_id!r} weight has NaN or Inf entries")
+        if self.weight is not None:
+            object.__setattr__(self, "weight", held(as_matrix(self.weight)))
+            if self.weight.shape != (self.gemm_m, self.gemm_k):
+                raise DimensionMismatch(
+                    f"layer {self.layer_id!r} weight is {self.weight.shape}, "
+                    f"expected ({self.gemm_m}, {self.gemm_k})"
+                )
 
 
 @dataclass(frozen=True)
@@ -78,6 +77,8 @@ class Workload:
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise SchemaError("workload has no layers")
+        if not all(isinstance(ly, LayerSpec) for ly in self.layers):
+            raise SchemaError("workload layers must be LayerSpec objects")
         ids = [ly.layer_id for ly in self.layers]
         if len(set(ids)) != len(ids):
             raise SchemaError("layer ids must be unique")
@@ -220,14 +221,11 @@ class ErrorOracle(_ProxyOracle):
         return float(np.mean(self._calibration(layer).errors(cfg)))
 
     def _calibration(self, layer: LayerSpec) -> ProductError:
-        """The layer's weight against its calibration samples, side by side
-        (K x total columns), loaded and multiplied once."""
+        """The layer's weight against its calibration samples, built once."""
 
         def load():
-            samples = load_calibration(layer)
-            widths = [sample.shape[1] for sample in samples]
             try:
-                return ProductError(layer.weight, np.hstack(samples), widths)
+                return ProductError(layer.weight, load_calibration(layer))
             except DegenerateProduct as exc:
                 raise OracleFailure(f"layer {layer.layer_id!r}: {exc}") from exc
 

@@ -406,22 +406,20 @@ class TestRelativeError:
     def test_samples_side_by_side_score_as_apart(self, config):
         a = random_matrix(12, 16, 0.6, "normal", seed=5)
         samples = [random_matrix(16, w, 0.7, "normal", seed=(6, w)) for w in (3, 1, 6)]
-        scorer = ProductError(a, np.hstack(samples), [3, 1, 6])
+        scorer = ProductError(a, samples)
         assert scorer.errors(config) == [relative_error(a, config, b) for b in samples]
 
-    @pytest.mark.parametrize("widths", [[4], [4, 4], [-2, 8], [6, 0], [2.0, 4], [True, 5]])
-    def test_widths_must_tile_b(self, widths):
-        # [4] used to score 4 of b's 6 columns, and [4, 4] or [-2, 8] to
-        # return misaligned errors
+    @pytest.mark.parametrize("rows", [[16, 15], []], ids=["unequal", "none"])
+    def test_samples_need_one_common_row_count(self, rows):
         a = random_matrix(12, 16, 0.6, "normal", seed=5)
-        b = random_matrix(16, 6, 0.7, "normal", seed=6)
-        with pytest.raises(DimensionMismatch, match="do not tile b's 6 columns"):
-            ProductError(a, b, widths)
+        samples = [np.ones((r, 2)) for r in rows]
+        with pytest.raises(DimensionMismatch, match="one common row count"):
+            ProductError(a, samples)
 
     def test_zero_reference_names_the_sample(self):
         samples = [np.ones((4, 2)), np.zeros((4, 3)), np.ones((4, 1))]
         with pytest.raises(DegenerateProduct, match="sample 1 has zero"):
-            ProductError(np.ones((2, 4)), np.hstack(samples), [2, 3, 1])
+            ProductError(np.ones((2, 4)), samples)
 
     def test_appending_terms_shrinks_residual_norm(self):
         rng = np.random.default_rng(7)

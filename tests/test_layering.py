@@ -301,3 +301,16 @@ def test_only_kernels_sort():
         if "argsort" in (getattr(node, "attr", None), getattr(node, "id", None))
     ]
     assert found == []
+
+
+def test_only_matrix_sets_array_flags():
+    # an object keeps each array it is given through ``matrix.held``, and
+    # fresh results are frozen by ``matrix.freeze``; no other module marks
+    # an array read-only (or writable) by a rule of its own
+    found = [
+        f"{module}.py line {node.lineno}"
+        for module in sorted(MODULES - {"matrix"})
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if "setflags" in (getattr(node, "attr", None), getattr(node, "id", None))
+    ]
+    assert found == []

@@ -13,10 +13,12 @@ from tasd import (
     BadMagic,
     CorruptIndices,
     DimensionMismatch,
+    LayerSpec,
     NmCompressed,
     NmPattern,
     NonFiniteEntry,
     NotCompliant,
+    RankedMatrix,
     TasdConfig,
     TasdError,
     config_of,
@@ -28,6 +30,7 @@ from tasd import (
     save_matrix,
     sparsity,
 )
+from tasd.approxmm import ProductError
 from tasd.matrix import MAGIC, block_nnz
 
 finite_entries = st.one_of(
@@ -46,6 +49,65 @@ def small_matrices(max_side=12):
 
 # ---------------------------------------------------------------------------
 # construction and sparsity
+
+
+def _ranked(arr):
+    ranked = RankedMatrix(arr)
+    ranked.ranks(4)  # cached from the array as given
+    return lambda: ranked.residual("2:4")
+
+
+def _scorer(a, b):
+    scorer = ProductError(a, [b])
+    return lambda: scorer.errors("2:4")
+
+
+def _packed(values, indices):
+    term = NmCompressed(NmPattern(2, 4), 1, 4, values, indices)
+    return lambda: decode(term)
+
+
+def _weight(weight):
+    spec = LayerSpec("L0", 1, 2, 4, weight)
+    return lambda: spec.weight
+
+
+def _dense(data):
+    mat = new_dense(1, 4, data)
+    return lambda: mat
+
+
+# each builds an object from the caller's writable arrays and returns what
+# the object gives back
+OWNERS = {
+    "RankedMatrix": (_ranked, [[[4.0, 3.0, 2.0, 1.0]]]),
+    "ProductError": (_scorer, [[[4.0, 3.0, 2.0, 1.0]], np.ones((4, 2))]),
+    "LayerSpec": (_weight, [[[4.0, 3.0, 2.0, 1.0]]]),
+    "NmCompressed": (_packed, [[[[5.0, 3.0]]], np.array([[[0, 2]]])]),
+    "new_dense": (_dense, [[4.0, 3.0, 2.0, 1.0]]),
+}
+
+
+class TestHeld:
+    """An object keeps each array it was given read-only and its own: a
+    later write by the caller changes none of its results, and the
+    caller's array stays writable."""
+
+    @pytest.mark.parametrize("owner", OWNERS)
+    def test_caller_writes_change_nothing(self, owner):
+        build, data = OWNERS[owner]
+        arrays = [np.array(d) for d in data]
+        results = build(*arrays)
+        before = np.array(results())
+        for arr in arrays:
+            arr += 1
+            assert arr.flags.writeable
+        assert np.array_equal(np.array(results()), before)
+
+    def test_read_only_input_is_kept_as_is(self):
+        r = new_dense(4, 2, np.arange(8.0))
+        assert RankedMatrix(r).mat is r
+        assert ProductError(np.ones((2, 4)), [r]).b is r
 
 
 class TestNewDense:
@@ -75,6 +137,18 @@ class TestNewDense:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(DimensionMismatch):
             new_dense(0, 4, [])
+
+    def test_rejects_data_of_another_shape(self):
+        # 3-D data of the right size used to become a 2x2 matrix
+        for data in (np.ones((1, 2, 2)), np.ones((4, 1))):
+            with pytest.raises(DimensionMismatch, match="does not fill a 2x2"):
+                new_dense(2, 2, data)
+
+    @pytest.mark.parametrize("dims", [(2.0, 2), (2, True)])
+    def test_rejects_non_integer_dims(self, dims):
+        # these used to raise numpy's TypeError
+        with pytest.raises(DimensionMismatch, match="positive integers"):
+            new_dense(*dims, [1.0, 2.0, 3.0, 4.0])
 
 
 class TestSparsity:
@@ -240,6 +314,17 @@ class TestEncodeDecode:
             NmPattern(2, 4), 2, 4, np.zeros((2, 1, 2)), np.full((2, 1, 2), -1)
         )
         assert not decode(c).any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # a NaN value used to decode as NaN and report no magnitude dropped
+        with pytest.raises(NonFiniteEntry):
+            NmCompressed(NmPattern(2, 4), 1, 4, [[[5.0, bad]]], [[[0, 2]]])
+
+    def test_rejects_non_integer_dims(self):
+        # rows=1.5 used to fail on the packed arrays' shape
+        with pytest.raises(DimensionMismatch, match="positive integers"):
+            NmCompressed(NmPattern(2, 4), 1.5, 4, [[[5.0, 3.0]]], [[[0, 2]]])
 
     def test_decode_rejects_nonincreasing_indices(self):
         c = NmCompressed(NmPattern(2, 4), 1, 4, [[[5.0, 3.0]]], [[[2, 1]]])

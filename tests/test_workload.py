@@ -99,6 +99,11 @@ class TestWorkload:
         with pytest.raises(SchemaError):
             Workload(5, (LayerSpec("L0", 1, 1, 1),), baseline_quality=1.0)
 
+    def test_layers_must_be_layer_specs(self):
+        # a dict layer used to fail with AttributeError
+        with pytest.raises(SchemaError, match="LayerSpec"):
+            Workload("w", [{"id": "a"}], 1.0)
+
     def test_layer_lookup(self):
         wl = two_layer_workload()
         assert wl.layer("L1").gemm_k == 3
