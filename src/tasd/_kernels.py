@@ -1,6 +1,6 @@
-"""Compute kernels, vectorized in numpy: per-block magnitude ranks (the
-package's one greedy order), extraction as a window of those ranks,
-deterministic dense matmul and compressed-times-dense matmul.
+"""Compute kernels, vectorized in numpy: the package's one greedy order of
+each block's magnitudes, with its ranks and the extraction of each block's
+n largest non-zeros, deterministic dense matmul and compressed matmul.
 
 Both products pin the same summation order: ascending k per output
 element, one rounding per multiply and per add, no fused multiply-add.
@@ -27,35 +27,65 @@ from __future__ import annotations
 import numpy as np
 
 
-def rank_blocks(blocks):
-    """Rank of each magnitude along the last axis: 0 for the largest, ties
-    to the lowest index. One stable sort, into the smallest unsigned dtype
-    that holds the block width."""
-    m = blocks.shape[-1]
-    mags = np.abs(blocks)
+def block_order(flat):
+    """Flat positions of each row of ``flat`` (blocks, m), best first: the
+    stable argsort of -|x| (ties to the lowest column), plus m times the row."""
+    mags = np.abs(flat)
     order = np.argsort(np.negative(mags, out=mags), axis=-1, kind="stable")
-    ranks = np.empty(order.shape, dtype=np.min_scalar_type(m))
-    np.put_along_axis(ranks, order, np.arange(m, dtype=ranks.dtype), axis=-1)
+    order += flat.shape[1] * np.arange(flat.shape[0])[:, None]
+    return order
+
+
+def rank_blocks(blocks):
+    """Rank of each magnitude along the last axis, 0 for the largest, ties to
+    the lowest index: 0..m-1 scattered through ``block_order``, in the
+    smallest unsigned dtype that holds m."""
+    m = blocks.shape[-1]
+    ranks = np.empty(blocks.shape, dtype=np.min_scalar_type(m))
+    ranks.reshape(-1)[block_order(blocks.reshape(-1, m))] = np.arange(m, dtype=ranks.dtype)
     return ranks
 
 
+def top_by_passes(flat, n):
+    """Mask of the first n of each row in ``block_order``, by n argmax passes:
+    the first of equal maxima is the lowest column, and a pick becomes -1."""
+    keep = np.zeros(flat.size, dtype=bool)
+    mags, start = np.abs(flat), flat.shape[1] * np.arange(flat.shape[0])
+    for _ in range(n):
+        pick = mags.argmax(axis=1) + start
+        keep[pick] = True
+        mags.reshape(-1)[pick] = -1.0
+    return keep.reshape(flat.shape)
+
+
+def top_by_sort(flat, n):
+    """``top_by_passes``'s mask from the first n positions of ``block_order``."""
+    keep = np.zeros(flat.size, dtype=bool)
+    keep[block_order(flat)[:, :n]] = True
+    return keep.reshape(flat.shape)
+
+
 def extract_term_blocks(residual, n, m):
-    """Move the non-zeros ranked below n in each m-block out of ``residual``
-    ((rows, blocks*m), modified in place) and return them packed: values
-    and indices, each (rows, blocks, n), hold the kept slots in ascending
-    column order, then 0.0 and -1."""
+    """Move the n largest non-zeros of each m-block (ties to the lowest
+    column) out of ``residual`` ((rows, blocks*m), contiguous, modified in
+    place) and return them packed: values and indices, each (rows, blocks,
+    n), hold the kept slots in ascending column order, then 0.0 and -1."""
     flat = residual.reshape(-1, m)
-    keep = (rank_blocks(flat) < n) & (flat != 0.0)
-    # outputs before the packing temporaries: the other order made glibc
-    # trim the heap between sweep draws (~6000 more page faults a job)
-    values = np.zeros((flat.shape[0], n))
-    indices = np.full(values.shape, -1, dtype=np.int64)
-    br, bc = np.nonzero(keep)  # column-ascending within each block
-    counts = np.bincount(br, minlength=flat.shape[0])
-    slot = np.arange(br.size) - (np.cumsum(counts) - counts)[br]
-    values[br, slot] = flat[br, bc]
-    indices[br, slot] = bc
-    flat[br, bc] = 0.0
+    # both masks agree; the passes are faster while 3n <= m + 2 (m = 4, 8, 16)
+    keep = (top_by_passes if 3 * n <= m + 2 else top_by_sort)(flat, n)
+    keep &= flat != 0.0
+    # outputs before the packing temporaries, or glibc trims the heap
+    values = np.zeros(flat.shape[0] * n)
+    indices = np.full(values.size, -1, dtype=np.int64)
+    pos = np.flatnonzero(keep)  # column-ascending within each block
+    block = pos // m
+    counts = np.bincount(block, minlength=flat.shape[0])
+    # the i-th kept entry, the j-th of its block b, goes to slot b*n + j
+    slot = np.arange(pos.size) + (n * np.arange(counts.size) - np.cumsum(counts) + counts)[block]
+    entries = residual.reshape(-1)
+    values[slot] = entries[pos]
+    indices[slot] = pos - m * block
+    entries[pos] = 0.0
     shape = (residual.shape[0], -1, n)
     return values.reshape(shape), indices.reshape(shape)
 

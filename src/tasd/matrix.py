@@ -260,7 +260,7 @@ def is_expressible(config, menu: PatternMenu) -> bool:
 class NmCompressed:
     """One structured term: packed values plus intra-block column indices.
 
-    values:  (rows, blocks_per_row, n) finite float64, zero-padded.
+    values:  (rows, blocks_per_row, n) finite float64, zero in unused slots.
     indices: (rows, blocks_per_row, n) int64; -1 marks an unused slot.
     Valid slots within a block carry strictly increasing indices.
     """
@@ -282,6 +282,8 @@ class NmCompressed:
             )
         if not np.isfinite(values).all():
             raise NonFiniteEntry("packed values must be finite")
+        if np.any((indices == -1) & (values != 0.0)):
+            raise CorruptIndices("an unused slot (index -1) holds a non-zero value")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "indices", indices)
 

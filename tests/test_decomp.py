@@ -107,6 +107,8 @@ def patterns(calls) -> list[str]:
 # ---------------------------------------------------------------------------
 # single-term extraction
 
+TIED_ROW = [2.0, -2.0, 0.0, -0.0, 1.0, 2.0, -1.0, 0.0, 2.0, -2.0, 1.0]
+
 
 class TestExtractTerm:
     def test_keeps_two_largest(self):
@@ -152,11 +154,12 @@ class TestExtractTerm:
     def test_matches_pure_python_reference(self, mat, pattern):
         self.assert_matches_reference(mat, pattern)
 
-    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("m", range(1, 17))
     def test_packed_layout_of_tied_and_short_blocks(self, m):
         # every n at this m, on rows of tied magnitudes with both zeros,
-        # ending in a partial block for every m above 1
-        row = [2.0, -2.0, 0.0, -0.0, 1.0, 2.0, -1.0, 0.0, 2.0, -2.0, 1.0][: m + (m + 1) // 2]
+        # ending in a partial block for every m above 1; at m = 16 a small
+        # n takes argmax passes and a large n the sort
+        row = (TIED_ROW * 3)[: m + (m + 1) // 2]
         for n in range(1, m + 1):
             self.assert_matches_reference(np.array([row, row[::-1]]), NmPattern(n, m))
 
@@ -173,6 +176,26 @@ class TestExtractTerm:
                 best = max_subset_magnitude(block, nnz(kept))
                 assert kept_total == pytest.approx(best, abs=1e-12)
                 assert nnz(kept) == min(pattern.n, nnz(block))
+
+
+class TestTopOfBlocks:
+    # extraction's two ways to each block's n largest, each called directly,
+    # so that neither depends on where the rule between them lies
+    MAT = np.array(
+        [np.roll(np.resize(TIED_ROW, 48), r) for r in range(5)]
+        + [np.full(48, -1.0), np.zeros(48)]
+    )
+
+    @pytest.mark.parametrize("m", [4, 8, 16])
+    @pytest.mark.parametrize("way", ["top_by_passes", "top_by_sort"])
+    def test_keeps_the_greedy_order(self, m, way):
+        mat = self.MAT.copy()
+        flat = mat.reshape(-1, m)
+        ranks = py_ranks(mat, m).reshape(-1, m)
+        for n in range(1, m + 1):
+            keep = getattr(tasd._kernels, way)(flat, n) & (flat != 0.0)
+            assert keep.tolist() == ((ranks < n) & (flat != 0.0)).tolist()
+        assert mat.tobytes() == self.MAT.tobytes()  # read, never written
 
 
 # ---------------------------------------------------------------------------

@@ -292,13 +292,17 @@ def test_kernels_use_no_unpinned_product():
 
 def test_only_kernels_sort():
     # the greedy order (largest magnitude first, ties to the lowest column)
-    # is ranked in one place, ``_kernels.rank_blocks``, and extraction reads
-    # those ranks; no other module argsorts to order entries its own way
+    # is found in one place, ``_kernels``, in two ways: the stable sort of
+    # ``block_order``, which ``rank_blocks`` and a large n read, and argmax
+    # passes, which take the first of equal maxima, for a small n; one
+    # comparison of n with m picks the way. No other module orders
+    # magnitudes by a rule of its own
+    orderings = {"argsort", "argmax", "argmin", "put_along_axis"}
     found = [
         f"{module}.py line {node.lineno}"
         for module in sorted(MODULES - {"_kernels"})
         for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
-        if "argsort" in (getattr(node, "attr", None), getattr(node, "id", None))
+        if orderings & {getattr(node, "attr", None), getattr(node, "id", None)}
     ]
     assert found == []
 

@@ -321,6 +321,13 @@ class TestEncodeDecode:
         with pytest.raises(NonFiniteEntry):
             NmCompressed(NmPattern(2, 4), 1, 4, [[[5.0, bad]]], [[[0, 2]]])
 
+    def test_rejects_value_in_unused_slot(self):
+        # it used to decode as 0.0 while drop_metrics counted its magnitude
+        with pytest.raises(CorruptIndices, match="unused slot"):
+            NmCompressed(NmPattern(2, 4), 1, 4, [[[5.0, 3.0]]], [[[0, -1]]])
+        c = NmCompressed(NmPattern(2, 4), 1, 4, [[[5.0, -0.0]]], [[[0, -1]]])
+        assert c.nnz == 1
+
     def test_rejects_non_integer_dims(self):
         # rows=1.5 used to fail on the packed arrays' shape
         with pytest.raises(DimensionMismatch, match="positive integers"):
