@@ -36,9 +36,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class HwSpec:
-    m: int
-    base_patterns: frozenset[int]
-    max_terms: int
+    menu: PatternMenu
     ttc_count: int
     pe_rows: int
     pe_cols: int
@@ -48,15 +46,12 @@ class HwSpec:
     energy_pj: MappingProxyType
 
     def __post_init__(self):
-        object.__setattr__(self, "base_patterns", frozenset(self.base_patterns))
+        if not isinstance(self.menu, PatternMenu):
+            raise SchemaError(f"menu must be a PatternMenu, got {self.menu!r}")
         for name in _COUNT_FIELDS:
             value = getattr(self, name)
             if not _is_int(value) or value <= 0:
                 raise SchemaError(f"{name} must be a positive integer, got {value!r}")
-        try:
-            self.menu  # PatternMenu checks the base patterns are integers in [1, m]
-        except ValueError as exc:
-            raise SchemaError(f"bad pattern menu: {exc}") from exc
         if not isinstance(self.energy_pj, Mapping):
             raise SchemaError("energy table must be a JSON object")
         energy = dict(self.energy_pj)
@@ -72,14 +67,13 @@ class HwSpec:
         energy = {key: float(value) for key, value in energy.items()}
         object.__setattr__(self, "energy_pj", MappingProxyType(energy))
 
-    @property
-    def menu(self) -> PatternMenu:
-        return PatternMenu(self.m, self.base_patterns, self.max_terms)
-
     def to_dict(self) -> dict:
+        """The flat spec JSON: the menu's three values beside the counts."""
         return {
+            "m": self.menu.m,
+            "base_patterns": sorted(self.menu.base_patterns),
+            "max_terms": self.menu.max_terms,
             **{name: getattr(self, name) for name in _COUNT_FIELDS},
-            "base_patterns": sorted(self.base_patterns),
             "energy_pj": dict(self.energy_pj),
         }
 
@@ -89,7 +83,7 @@ class HwSpec:
             raise SchemaError("hardware spec must be a JSON object")
         try:
             return cls(
-                base_patterns=frozenset(obj["base_patterns"]),
+                menu=PatternMenu(obj["m"], obj["base_patterns"], obj["max_terms"]),
                 energy_pj=obj["energy_pj"],
                 **{name: obj[name] for name in _COUNT_FIELDS},
             )
@@ -124,9 +118,7 @@ def vegeta_m8() -> HwSpec:
     16 decomposition units per core (enough for two blocks per cycle at
     the worst-case sum of n)."""
     return HwSpec(
-        m=8,
-        base_patterns=frozenset({1, 2, 4}),
-        max_terms=2,
+        menu=PatternMenu(8, frozenset({1, 2, 4}), max_terms=2),
         ttc_count=4,
         pe_rows=16,
         pe_cols=16,
@@ -140,9 +132,7 @@ def vegeta_m8() -> HwSpec:
 def stc_m4() -> HwSpec:
     """Single-core m=4 target supporting 2:4 and dense only."""
     return HwSpec(
-        m=4,
-        base_patterns=frozenset({2}),
-        max_terms=1,
+        menu=PatternMenu(4, frozenset({2}), max_terms=1),
         ttc_count=1,
         pe_rows=16,
         pe_cols=16,
@@ -163,7 +153,7 @@ BUILTIN_SPECS = {"vegeta-m8": vegeta_m8, "stc-m4": stc_m4}
 def pattern_table(hw: HwSpec) -> list[tuple[int, TasdConfig | None]]:
     """(total n, realization) for every total 1..m; None = unsupported."""
     by_total = {cfg.sum_n: cfg for cfg in enumerate_configs(hw.menu)}
-    return [(total, by_total.get(total)) for total in range(1, hw.m + 1)]
+    return [(total, by_total.get(total)) for total in range(1, hw.menu.m + 1)]
 
 
 def decomp_latency(config) -> int:
@@ -178,7 +168,7 @@ def decomp_latency(config) -> int:
 def required_tasd_units(hw: HwSpec, config: TasdConfig | None = None) -> int:
     """Units per core for stall-free output: blocks emitted per cycle
     times the per-block latency (worst case m when no config is given)."""
-    latency = hw.m if config is None else decomp_latency(config)
+    latency = hw.menu.m if config is None else decomp_latency(config)
     return hw.blocks_out_per_cycle * latency
 
 
@@ -248,13 +238,14 @@ def gemm_cost(
 def _priced_gemm(hw, gemm_m, gemm_n, gemm_k, config) -> CostReport:
     """The body of ``gemm_cost`` for positive integer dims."""
     dense = config is None or config.is_dense
-    if not dense and not is_expressible(config, hw.menu):
+    menu = hw.menu
+    if not dense and not is_expressible(config, menu):
         raise NotExpressible(
-            f"target (m={hw.m}, bases {sorted(hw.base_patterns)}, "
-            f"max {hw.max_terms} terms) cannot run {config.canonical()}"
+            f"target (m={menu.m}, bases {sorted(menu.base_patterns)}, "
+            f"max {menu.max_terms} terms) cannot run {config.canonical()}"
         )
 
-    m = hw.m
+    m = menu.m
     ns = [] if dense else [t.n for t in config.terms]
     n_terms = 1 if dense else len(ns)
     # K extent of each per-term pass through the PE array
@@ -323,7 +314,7 @@ def workload_cost(hw: HwSpec, workload, assignment: Assignment | None = None):
         macs += report.mac_count
         for key in totals:
             totals[key] += report.breakdown[key]
-        config = cfg.canonical() if cfg is not None else "dense"
+        config = config_of(cfg).canonical() if cfg is not None else "dense"
         rows.append(cost_row(ly.layer_id, config, report))
     overflow = "the workload's cost overflows a float: GEMM dims or energies too large"
     return _report(cycles, stalls, macs, totals, overflow), rows

@@ -84,16 +84,23 @@ def _check_dims(rows, cols) -> None:
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
-    """``arr`` (a fresh array nobody else holds), made C-contiguous and read-only."""
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
+    """``arr`` (a fresh array nobody else holds), made C-contiguous and
+    read-only, with every array under it through ``.base``."""
+    arr = base = np.ascontiguousarray(arr)
+    while isinstance(base, np.ndarray):
+        base.setflags(write=False)
+        base = base.base
     return arr
 
 
 def held(arr: np.ndarray) -> np.ndarray:
-    """The array an object keeps of one it was given: a read-only input as it
-    is, a read-only copy of a writable one. The caller's flags never change."""
-    return freeze(arr.copy()) if arr.flags.writeable else arr
+    """The array an object keeps of one it was given: the input as it is when
+    it and every array under it are read-only, else a read-only copy (also of
+    a view of a buffer that is not an array). The caller's flags never change."""
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    return arr if base is None else freeze(arr.copy())
 
 
 def sparsity(mat) -> float:
@@ -249,9 +256,7 @@ def is_expressible(config, menu: PatternMenu) -> bool:
     config = config_of(config)
     if config.is_dense:
         return True
-    if not config.same_m or config.terms[0].m != menu.m:
-        return False
-    if len(config.terms) > menu.max_terms or config.sum_n > menu.m:
+    if not config.same_m or config.terms[0].m != menu.m or len(config.terms) > menu.max_terms:
         return False
     return all(t.n in menu.base_patterns for t in config.terms)
 

@@ -18,6 +18,11 @@ import pytest
 
 from tasd import TasdConfig, new_dense
 
+# pyproject.toml puts src/ on pytest's own path; child processes
+# (``python -m tasd.cli``) find the package through PYTHONPATH
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
 # hand matrix with mixed block occupancy: 37.5% sparse, entry sum 25,
 # lossless under 2:4 followed by 2:8
 EXAMPLE_2X8 = new_dense(

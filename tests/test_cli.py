@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import SLOW_SCRIPT, assert_gone
 from tasd import (
     HwSpec,
+    PatternMenu,
     TasdConfig,
     decompose,
     drop_metrics,
@@ -781,8 +782,8 @@ class TestPatterns:
     def test_many_terms_finish(self, tmp_path):
         # the table walked every multiset of up to max_terms bases
         spec = tmp_path / "hw.json"
-        dataclasses.replace(vegeta_m8(), base_patterns=frozenset(range(1, 9)),
-                            max_terms=64).save(spec)
+        dataclasses.replace(vegeta_m8(), menu=PatternMenu(8, frozenset(range(1, 9)),
+                                                           max_terms=64)).save(spec)
         proc = subprocess.run([sys.executable, "-m", "tasd.cli", "patterns", "--hw", str(spec)],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr

@@ -14,6 +14,7 @@ from tasd import (
     MixedM,
     NmPattern,
     NotExpressible,
+    PatternMenu,
     SchemaError,
     TasdConfig,
     Workload,
@@ -42,9 +43,7 @@ BASE_ENERGY = {
 
 def custom_hw(**overrides):
     fields = dict(
-        m=8,
-        base_patterns=frozenset({1, 2, 4}),
-        max_terms=2,
+        menu=PatternMenu(8, frozenset({1, 2, 4}), max_terms=2),
         ttc_count=4,
         pe_rows=16,
         pe_cols=16,
@@ -65,10 +64,12 @@ class TestHwSpec:
             custom_hw(elem_bytes=-1)
 
     def test_base_patterns_within_block(self):
-        with pytest.raises(SchemaError):
-            custom_hw(base_patterns=frozenset({9}))
-        with pytest.raises(SchemaError):
-            custom_hw(base_patterns=frozenset({0}))
+        # a menu built in Python fails in PatternMenu; a spec file's, as a SchemaError
+        for bases in ({9}, {0}):
+            with pytest.raises(ValueError):
+                PatternMenu(8, frozenset(bases))
+            with pytest.raises(SchemaError):
+                HwSpec.from_dict({**HW.to_dict(), "base_patterns": sorted(bases)})
 
     def test_energy_table_complete(self):
         short = {k: v for k, v in BASE_ENERGY.items() if k != "dram_access"}
@@ -106,9 +107,9 @@ class TestHwSpec:
             HwSpec.from_dict(["nope"])
 
     def test_builtins_differ(self):
-        assert vegeta_m8().m == 8
-        assert stc_m4().m == 4
-        assert stc_m4().base_patterns == frozenset({2})
+        assert vegeta_m8().menu.m == 8
+        assert stc_m4().menu.m == 4
+        assert stc_m4().menu.base_patterns == frozenset({2})
 
     def test_shipped_config_files_match_factories(self):
         # configs/<name>.json mirrors the built-in spec <name> with "-" for "_"
@@ -117,6 +118,25 @@ class TestHwSpec:
         assert set(files) == set(BUILTIN_SPECS)
         for name, path in files.items():
             assert HwSpec.from_json(path) == BUILTIN_SPECS[name]()
+
+    def test_builtins_save_their_shipped_files_byte_for_byte(self, tmp_path):
+        # the spec JSON stays flat: the menu's m, base_patterns and
+        # max_terms sit beside the counts
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        for name, factory in BUILTIN_SPECS.items():
+            path = tmp_path / f"{name}.json"
+            factory().save(path)
+            assert path.read_bytes() == (configs / f"{name.replace('-', '_')}.json").read_bytes()
+
+    def test_spec_keeps_the_menu_it_was_given(self):
+        menu = PatternMenu(8, frozenset({2, 4}), max_terms=1)
+        hw = custom_hw(menu=menu)
+        assert hw.menu is menu
+        assert pattern_table(hw)[1] == (2, CFG("2:8"))
+
+    def test_menu_must_be_a_pattern_menu(self):
+        with pytest.raises(SchemaError):
+            custom_hw(menu={"m": 8, "base_patterns": [2], "max_terms": 1})
 
 
     def test_spec_with_retired_capacity_keys_prices_the_same(self, tmp_path):
@@ -251,8 +271,8 @@ class TestDecompLatency:
         assert required_tasd_units(HW) == 16  # 2 blocks/cycle x worst-case 8
         assert required_tasd_units(HW, CFG("4:8+1:8")) == 10
         assert required_tasd_units(stc_m4()) == 4
-        assert required_tasd_units(custom_hw(blocks_out_per_cycle=1, m=4,
-                                             base_patterns=frozenset({2}))) == 4
+        assert required_tasd_units(custom_hw(blocks_out_per_cycle=1,
+                                             menu=PatternMenu(4, frozenset({2})))) == 4
 
 
 class TestGemmCost:
@@ -383,6 +403,12 @@ class TestWorkloadCost:
         # aggregate EDP couples total energy with total latency
         assert total.edp == total.energy_pj * total.cycles
         assert total.edp != pytest.approx(sum(r["edp"] for r in rows))
+
+    def test_config_strings_cost_as_their_configs(self):
+        # each layer's config is read through ``config_of``, as in gemm_cost
+        wl = three_layer_workload()
+        parsed = workload_cost(HW, wl, {"L0": CFG("4:8+1:8"), "L2": CFG("2:8")})
+        assert workload_cost(HW, wl, {"L0": "4:8+1:8", "L2": "2:8"}) == parsed
 
     def test_all_dense_matches_per_layer_dense(self):
         wl = three_layer_workload()

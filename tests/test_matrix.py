@@ -24,14 +24,16 @@ from tasd import (
     config_of,
     decode,
     encode,
+    extract_term,
     is_compliant,
     load_matrix,
     new_dense,
+    random_matrix,
     save_matrix,
     sparsity,
 )
 from tasd.approxmm import ProductError
-from tasd.matrix import MAGIC, block_nnz
+from tasd.matrix import MAGIC, block_nnz, held
 
 finite_entries = st.one_of(
     st.integers(-4, 4).map(float),
@@ -104,10 +106,42 @@ class TestHeld:
             assert arr.flags.writeable
         assert np.array_equal(np.array(results()), before)
 
+    @pytest.mark.parametrize("owner", OWNERS)
+    def test_writes_under_a_read_only_view_change_nothing(self, owner):
+        # a read-only view says nothing of the writable array under it
+        build, data = OWNERS[owner]
+        arrays = [np.array(d) for d in data]
+        views = [arr.view() for arr in arrays]
+        for view in views:
+            view.setflags(write=False)
+        results = build(*views)
+        before = np.array(results())
+        for arr in arrays:
+            arr += 1
+        assert np.array_equal(np.array(results()), before)
+
+    def test_a_view_of_a_buffer_that_is_not_an_array_is_copied(self):
+        buf = bytearray(np.array([4.0, 3.0, 2.0, 1.0]).tobytes())
+        ranked = RankedMatrix(np.frombuffer(memoryview(buf).toreadonly()).reshape(1, 4))
+        buf[:8] = bytes(8)
+        assert ranked.mat.tolist() == [[4.0, 3.0, 2.0, 1.0]]
+
     def test_read_only_input_is_kept_as_is(self):
         r = new_dense(4, 2, np.arange(8.0))
         assert RankedMatrix(r).mat is r
         assert ProductError(np.ones((2, 4)), [r]).b is r
+
+    @pytest.mark.parametrize("cols", [8, 10])  # residual a view of whole blocks, or a copy
+    def test_package_results_are_kept_as_is(self, tmp_path, cols):
+        # what the package returns is read-only down to its last base, so
+        # an object keeps it without a copy
+        mat = random_matrix(6, cols, 0.5, "uniform", seed=0)
+        term, residual = extract_term(mat, NmPattern(2, 4))
+        save_matrix(mat, tmp_path / "m.bin")
+        (tmp_path / "m.csv").write_text("1,0,2\n0,3,4\n")
+        for arr in (mat, residual, term.values, term.indices,
+                    load_matrix(tmp_path / "m.bin"), load_matrix(tmp_path / "m.csv")):
+            assert held(arr) is arr
 
 
 class TestNewDense:

@@ -368,9 +368,7 @@ def toy_workload(seed=0, densities=(0.2, 0.6, 1.0)):
 def cycles_on(menu, workload):
     """The CLI's network-search cost: modeled cycles, here on a one-core
     target that runs every config of ``menu``."""
-    hw = dataclasses.replace(
-        stc_m4(), m=menu.m, base_patterns=menu.base_patterns, max_terms=menu.max_terms
-    )
+    hw = dataclasses.replace(stc_m4(), menu=menu)
     return lambda assignment: workload_cost(hw, workload, assignment)[0].cycles
 
 
