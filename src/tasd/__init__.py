@@ -13,7 +13,6 @@ from .approxmm import (
     matmul,
     relative_error,
     render_error_csv,
-    spmm_term,
     tasd_matmul,
 )
 from .decomp import (
@@ -68,7 +67,6 @@ from .matrix import (
     encode,
     enumerate_configs,
     extract_term,
-    is_compliant,
     is_expressible,
     load_matrix,
     new_dense,
@@ -76,8 +74,6 @@ from .matrix import (
     sparsity,
 )
 from .search import (
-    assignment_from_json,
-    assignment_to_json,
     layer_wise_greedy,
     load_assignment,
     network_wise_search,

@@ -14,9 +14,7 @@ from . import _kernels
 from ._parallel import map_ordered, resolve_workers
 from .decomp import Decomposition, RankedMatrix, random_matrix
 from .errors import DegenerateProduct, DimensionMismatch
-from .matrix import (
-    DenseMatrix, NmCompressed, _check_indices, as_matrix, config_of, freeze, held, render_csv,
-)
+from .matrix import DenseMatrix, _check_indices, as_matrix, config_of, freeze, held, render_csv
 
 ERROR_CSV_HEADER = "a_sparsity,config,approx_sparsity,mean_rel_error,std_rel_error,seeds"
 ERROR_CONFIGS = tuple(f"{n}:{m}" for m in (4, 8) for n in range(1, m + 1))
@@ -33,33 +31,21 @@ def matmul(a, b) -> DenseMatrix:
     return freeze(out)
 
 
-def spmm_term(term: NmCompressed, b):
-    """Compressed times dense; returns (product, MACs actually performed).
-
-    Only valid slots multiply, so the MAC count is nnz(term) * b.cols.
-    Corrupt indices raise ``CorruptIndices``, as in ``decode``.
-    """
-    return _series_product((term,), term.rows, term.cols, b)
-
-
 def tasd_matmul(d: Decomposition, b):
-    """Distribute the product over the series: sum of term @ b, in order."""
-    return _series_product(d.terms, *d.residual.shape, b)
-
-
-def _series_product(terms, rows: int, cols: int, b):
-    """Sum of term @ b over the (rows, cols) terms, accumulated in order
-    into one output; returns (product, MACs). Every term's indices are
-    checked before b."""
-    for term in terms:
+    """Distribute the product over the series: sum of term @ b, accumulated
+    in order into one output; returns (product, MACs). Only valid slots
+    multiply, so MACs = sum of nnz x b.cols. Every term's indices are checked
+    before b: corrupt ones raise ``CorruptIndices``, as in ``decode``."""
+    for term in d.terms:
         _check_indices(term)
     b = as_matrix(b)
+    rows, cols = d.residual.shape
     if cols != b.shape[0]:
         raise DimensionMismatch(f"series has {cols} cols but b has {b.shape[0]} rows")
     out = np.zeros((rows, b.shape[1]))
-    for term in terms:
+    for term in d.terms:
         _kernels.spmm_into(term.values, term.indices, term.pattern.m, b, out)
-    return freeze(out), sum(term.nnz for term in terms) * b.shape[1]
+    return freeze(out), sum(term.nnz for term in d.terms) * b.shape[1]
 
 
 class ProductError:

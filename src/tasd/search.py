@@ -13,6 +13,7 @@ from .matrix import (
     NmPattern,
     PatternMenu,
     TasdConfig,
+    _is_number,
     as_matrix,
     block_nnz,
     dense_config,
@@ -95,9 +96,10 @@ def layer_wise_greedy(
 
 
 def _quality_gate(workload, threshold: float) -> float:
-    """threshold x baseline; a NaN or infinite threshold is a ``ValueError``."""
-    if not np.isfinite(threshold):
-        raise ValueError(f"threshold must be a finite number, got {threshold}")
+    """threshold x baseline; a threshold that is not a finite number (NaN,
+    Inf, a bool, a string, None) is a ``ValueError``."""
+    if not _is_number(threshold):
+        raise ValueError(f"threshold must be a finite number, got {threshold!r}")
     return threshold * workload.baseline_quality
 
 
@@ -228,14 +230,13 @@ def select_activation_configs(
 # assignment serialization
 
 
-def assignment_to_json(assignment: Assignment) -> dict:
-    return {
-        layer_id: {"terms": [[t.n, t.m] for t in cfg.terms]}
-        for layer_id, cfg in assignment.items()
-    }
+def save_assignment(assignment: Assignment, path) -> None:
+    obj = {lid: {"terms": [[t.n, t.m] for t in cfg.terms]} for lid, cfg in assignment.items()}
+    write_json(obj, path)
 
 
-def assignment_from_json(obj) -> Assignment:
+def load_assignment(path) -> Assignment:
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise SchemaError("assignment must be a JSON object")
     assignment: Assignment = {}
@@ -248,11 +249,3 @@ def assignment_from_json(obj) -> Assignment:
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad terms for layer {layer_id!r}: {exc}") from exc
     return assignment
-
-
-def save_assignment(assignment: Assignment, path) -> None:
-    write_json(assignment_to_json(assignment), path)
-
-
-def load_assignment(path) -> Assignment:
-    return assignment_from_json(read_json(path))

@@ -244,7 +244,7 @@ class CommandOracle(_Oracle):
     def __init__(self, command, timeout: float | None = None):
         if not command:
             raise ValueError("CommandOracle needs a command")
-        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+        if timeout is not None and not (_is_number(timeout) and timeout > 0):
             raise ValueError(f"oracle timeout must be a positive number of seconds, got {timeout}")
         super().__init__()
         self.command = command

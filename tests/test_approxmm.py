@@ -32,7 +32,6 @@ from tasd import (
     relative_error,
     save_matrix,
     sparsity,
-    spmm_term,
     tasd_matmul,
 )
 from tasd.approxmm import (
@@ -258,16 +257,25 @@ class TestMatmul:
         assert product.tobytes() == py_matmul(a, b).tobytes()
 
 
+def series_of(term):
+    """The one-term series of a packed term, with a zero residual."""
+    residual = np.zeros((term.rows, term.cols))
+    return Decomposition(TasdConfig((term.pattern,)), (term,), residual)
+
+
 class TestSpmmTerm:
+    """One packed term times a dense B, as ``tasd_matmul`` of its one-term
+    series."""
+
     def test_skips_absent_products(self):
         term, _ = extract_term(np.array([[5.0, 0.0, 3.0, 0.0]]), NmPattern(2, 4))
-        out, macs = spmm_term(term, np.ones((4, 1)))
+        out, macs = tasd_matmul(series_of(term), np.ones((4, 1)))
         assert out.tolist() == [[8.0]]
         assert macs == 2
 
     def test_zero_term(self):
         term, _ = extract_term(np.zeros((2, 4)), NmPattern(2, 4))
-        out, macs = spmm_term(term, np.ones((4, 3)))
+        out, macs = tasd_matmul(series_of(term), np.ones((4, 3)))
         assert not out.any()
         assert macs == 0
 
@@ -275,20 +283,20 @@ class TestSpmmTerm:
         rng = np.random.default_rng(0)
         mat = rng.uniform(1.0, 2.0, size=(4, 8))  # no zeros
         term, _ = extract_term(mat, NmPattern(8, 8))
-        _, macs = spmm_term(term, np.ones((8, 5)))
+        _, macs = tasd_matmul(series_of(term), np.ones((8, 5)))
         assert macs == 4 * 8 * 5
 
     def test_dimension_check(self):
         term, _ = extract_term(np.ones((2, 4)), NmPattern(2, 4))
         with pytest.raises(DimensionMismatch):
-            spmm_term(term, np.ones((3, 2)))
+            tasd_matmul(series_of(term), np.ones((3, 2)))
 
     @given(matrix_pairs(max_side=10))
     @settings(max_examples=60, deadline=None)
     def test_mac_count_is_nonzero_multiplies(self, pair):
         a, b = pair
         term, _ = extract_term(a, NmPattern(2, 4))
-        out, macs = spmm_term(term, b)
+        out, macs = tasd_matmul(series_of(term), b)
         dense = decode(term)
         assert macs == nnz(dense) * b.shape[1]
         reference = matmul(dense, b)
@@ -299,7 +307,7 @@ class TestSpmmTerm:
     def test_bitwise_against_decoded_term(self, pair, config):
         a, b = pair
         for term in decompose(a, config).terms:
-            out, _ = spmm_term(term, b)
+            out, _ = tasd_matmul(series_of(term), b)
             assert out.tobytes() == py_matmul(decode(term), b).tobytes()
 
 
@@ -349,7 +357,7 @@ class TestTasdMatmul:
 
 
 class TestCorruptIndices:
-    """Both products refuse the packed indices that ``decode`` refuses,
+    """The product refuses the packed indices that ``decode`` refuses,
     instead of multiplying by the wrong rows of B."""
 
     CASES = {
@@ -361,16 +369,11 @@ class TestCorruptIndices:
     }
 
     @staticmethod
-    def spmm(term, b):
-        return spmm_term(term, b)
-
-    @staticmethod
     def series(term, b):
-        residual = np.zeros((term.rows, term.cols))
-        return tasd_matmul(Decomposition(TasdConfig((term.pattern,)), (term,), residual), b)
+        return tasd_matmul(series_of(term), b)
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("product", ["spmm", "series"])
+    @pytest.mark.parametrize("product", ["series"])
     def test_refused(self, case, product):
         pattern, cols, indices = self.CASES[case]
         values = np.arange(1.0, 1.0 + np.size(indices)).reshape(np.shape(indices))
@@ -379,7 +382,7 @@ class TestCorruptIndices:
             decode(term)
         with pytest.raises(CorruptIndices):
             getattr(self, product)(term, np.arange(float(cols)).reshape(cols, 1))
-        # both products check the indices before the shape of b
+        # the product checks the indices before the shape of b
         with pytest.raises(CorruptIndices):
             getattr(self, product)(term, np.ones((cols + 1, 1)))
 
@@ -474,7 +477,6 @@ class TestEmptyOperands:
             lambda: relative_error(empty, "2:4", np.ones((shape[1], 2))),
             lambda: relative_error(np.ones((2, shape[0])), "2:4", empty),
             lambda: tasd_matmul(term, np.zeros((4, 0))),
-            lambda: spmm_term(term.terms[0], np.zeros((4, 0))),
         )
         for call in calls:
             with pytest.raises(DimensionMismatch, match="dims must be positive"):

@@ -207,6 +207,28 @@ def test_readme_examples_run_and_its_names_exist():
     assert sorted(name for name in names if not _resolves(name)) == []
 
 
+def _public_names():
+    """Every name ``tasd/__init__.py`` imports from its modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def test_every_public_name_has_a_use():
+    # a public name that the package, the benchmark and the README all
+    # leave alone is one to fold or make private
+    used = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for module in MODULES - {"__init__"}
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+    }
+    used |= {dotted.split(".")[-1] for dotted in _benchmark_reads()}
+    used |= {attr for _, attr in _tracer_targets()}
+    text = README.read_text()
+    spans = re.findall(r"`([^`\n]+)`", text) + re.findall(r"```python\n(.*?)```", text, re.S)
+    used |= set(re.findall(r"\w+", " ".join(spans)))
+    assert sorted(_public_names() - used) == []
+
+
 def test_tracer_passes_workers_positionally():
     # the tracer calls map_ordered(fn, items, workers) and resolve_workers(workers)
     for fn, index in ((map_ordered, 2), (resolve_workers, 0)):

@@ -25,7 +25,6 @@ from tasd import (
     decode,
     encode,
     extract_term,
-    is_compliant,
     load_matrix,
     new_dense,
     random_matrix,
@@ -289,21 +288,33 @@ class TestTasdConfig:
 
 
 class TestIsCompliant:
+    """``encode`` is the compliance rule: a compliant matrix round-trips,
+    anything else is ``NotCompliant``."""
+
+    @staticmethod
+    def round_trips(mat, pattern):
+        return np.array_equal(decode(encode(mat, pattern)), mat)
+
     def test_within_budget(self):
-        assert is_compliant(np.array([[5.0, 0.0, 3.0, 0.0]]), NmPattern(2, 4))
+        assert self.round_trips(np.array([[5.0, 0.0, 3.0, 0.0]]), NmPattern(2, 4))
 
     def test_over_budget(self):
-        assert not is_compliant(np.array([[1.0, 1.0, 1.0, 0.0]]), NmPattern(2, 4))
+        # one block over budget in the second row is enough
+        mat = np.array([[1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0],
+                        [0.0, 4.0, 0.0, 0.0, 5.0, 6.0, 0.0, 7.0]])
+        with pytest.raises(NotCompliant):
+            encode(mat, NmPattern(2, 4))
 
     def test_dense_pattern_always_passes(self):
         mat = np.arange(12.0).reshape(3, 4) + 1.0
-        assert is_compliant(mat, NmPattern(4, 4))
+        assert self.round_trips(mat, NmPattern(4, 4))
 
     def test_partial_trailing_block_checked(self):
         # cols=6 with m=4: trailing block is 2 wide and holds 2 non-zeros
         mat = np.array([[1.0, 0.0, 0.0, 0.0, 2.0, 3.0]])
-        assert is_compliant(mat, NmPattern(2, 4))
-        assert not is_compliant(mat, NmPattern(1, 4))
+        assert self.round_trips(mat, NmPattern(2, 4))
+        with pytest.raises(NotCompliant):
+            encode(mat, NmPattern(1, 4))
 
 
 class TestBlockNnz:
@@ -407,7 +418,7 @@ class TestEncodeDecode:
 
         term, _ = extract_term(mat, NmPattern(2, 4))
         dense = decode(term)
-        assert is_compliant(dense, NmPattern(2, 4))
+        assert (block_nnz(dense, 4) <= 2).all()
         again = encode(dense, NmPattern(2, 4))
         assert np.array_equal(decode(again), dense)
         assert np.array_equal(again.values, term.values)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -18,8 +19,6 @@ from tasd import (
     SchemaError,
     TasdConfig,
     Workload,
-    assignment_from_json,
-    assignment_to_json,
     decompose,
     dense_config,
     drop_metrics,
@@ -372,7 +371,9 @@ def cycles_on(menu, workload):
     return lambda assignment: workload_cost(hw, workload, assignment)[0].cycles
 
 
-NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+# True used to gate at 1.0 x baseline, and a string or None escaped as a
+# TypeError
+NOT_A_NUMBER = [float("nan"), float("inf"), -float("inf"), True, "0.9", None]
 
 
 class TestRankedPairs:
@@ -495,11 +496,19 @@ class TestLayerWiseGreedy:
                 assert oracle.evaluate(wl, assignment) >= threshold
 
 
-    @pytest.mark.parametrize("threshold", NON_FINITE)
+    @pytest.mark.parametrize("threshold", NOT_A_NUMBER)
     def test_non_finite_threshold_rejected(self, threshold):
         # NaN and +Inf used to configure nothing, and -Inf applied every pair
         with pytest.raises(ValueError, match="threshold"):
             layer_wise_greedy(toy_workload(), VEGETA_MENU, MagnitudeOracle(), threshold)
+
+
+def test_numpy_threshold_is_a_number():
+    wl = toy_workload()
+    threshold = np.float32(0.97)  # a numpy float that is not a Python float
+    assert layer_wise_greedy(wl, VEGETA_MENU, MagnitudeOracle(), threshold) == (
+        layer_wise_greedy(wl, VEGETA_MENU, MagnitudeOracle(), float(threshold))
+    )
 
 
 class TestNetworkWiseSearch:
@@ -562,7 +571,7 @@ class TestNetworkWiseSearch:
         with pytest.raises(TypeError, match="cost"):
             network_wise_search(toy_workload(), VEGETA_MENU, MagnitudeOracle())
 
-    @pytest.mark.parametrize("threshold", NON_FINITE)
+    @pytest.mark.parametrize("threshold", NOT_A_NUMBER)
     def test_non_finite_threshold_rejected(self, threshold):
         # NaN and +Inf used to return dense, and -Inf the cheapest config
         wl = toy_workload()
@@ -587,25 +596,32 @@ class TestAssignmentJson:
         again = load_assignment(path)
         assert again == assignment
 
-    def test_json_shape(self):
-        obj = assignment_to_json({"L0": TasdConfig.parse("4:8+1:8")})
-        assert obj == {"L0": {"terms": [[4, 8], [1, 8]]}}
-        assert assignment_from_json(obj)["L0"].canonical() == "4:8+1:8"
+    def test_json_shape(self, tmp_path):
+        path = tmp_path / "assignment.json"
+        save_assignment({"L0": TasdConfig.parse("4:8+1:8")}, path)
+        assert json.loads(path.read_text()) == {"L0": {"terms": [[4, 8], [1, 8]]}}
+        assert load_assignment(path)["L0"].canonical() == "4:8+1:8"
+
+    @staticmethod
+    def load(obj, tmp_path):
+        path = tmp_path / "assignment.json"
+        path.write_text(json.dumps(obj))
+        return load_assignment(path)
 
     def test_malformed_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
-            assignment_from_json(["not", "a", "map"])
+            self.load(["not", "a", "map"], tmp_path)
         with pytest.raises(SchemaError):
-            assignment_from_json({"L0": {"no_terms": []}})
+            self.load({"L0": {"no_terms": []}}, tmp_path)
         with pytest.raises(SchemaError):
-            assignment_from_json({"L0": {"terms": [[9, 4]]}})
+            self.load({"L0": {"terms": [[9, 4]]}}, tmp_path)
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         with pytest.raises(SchemaError):
             load_assignment(bad)
 
     @pytest.mark.parametrize("terms", [[[2.7, 8]], [[True, 4]], [["2", "4"]], [[2, 4.0]]])
-    def test_mistyped_terms_rejected(self, terms):
+    def test_mistyped_terms_rejected(self, terms, tmp_path):
         # these used to be read as 2:8, 1:4, 2:4 and 2:4
         with pytest.raises(SchemaError):
-            assignment_from_json({"L0": {"terms": terms}})
+            self.load({"L0": {"terms": terms}}, tmp_path)

@@ -551,7 +551,8 @@ class TestExternalCommandOracle:
             oracle.evaluate(two_layer_workload(), {})
         assert_gone(int(pid_file.read_text()))
 
-    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf")])
+    # True used to give a 1 s timeout, and "5" escaped as a TypeError
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), True, "5"])
     def test_timeout_must_be_positive_and_finite(self, timeout):
         with pytest.raises(ValueError):
             CommandOracle("oracle", timeout=timeout)
