@@ -1,30 +1,49 @@
-"""Compute kernels, vectorized in numpy: the package's one greedy order of
-each block's magnitudes, with its ranks and the extraction of each block's
-n largest non-zeros, deterministic dense matmul and compressed matmul.
+"""Compute kernels: the package's one greedy order of each block's
+magnitudes, with its ranks and the extraction of each block's n largest
+non-zeros (vectorized numpy), and the two pinned products, dense matmul
+and compressed matmul, which run one compiled loop, ``_products.c``.
 
 Both products pin the same summation order: ascending k per output
 element, one rounding per multiply and per add, no fused multiply-add.
-Both leave out products whose left operand is zero, so their cost tracks
-the non-zeros (the rule is in ``_accumulate``, and ``matmul_into`` steps
-over each row's non-zeros when rows are sparse). Leaving such a product
-out, or adding it, never changes a bit. The accumulator starts at +0.0
-and is never -0.0, since under round-to-nearest a sum is -0.0 only when
-both addends are. The product is a zero times a finite number (the
-public entry points refuse NaN and Inf), so it is +-0.0, and adding
-+-0.0 leaves any accumulator other than -0.0 unchanged. The dense matmul
-and the compressed product of a decoded term therefore agree bit for
-bit. This needs a zeroed ``out``: every caller passes one.
+For each row of the left operand, the loop walks its columns in ascending
+order (a packed term: its (block, slot) pairs in packed order, whose valid
+slots carry increasing indices) and adds value times the named row of b
+to the output row. It leaves out products whose left operand is zero, so
+the cost tracks the non-zeros. Leaving such a product out, or adding it,
+never changes a bit. The accumulator starts at +0.0 and is never -0.0,
+since under round-to-nearest a sum is -0.0 only when both addends are.
+The product is a zero times a finite number (the public entry points
+refuse NaN and Inf), so it is +-0.0, and adding +-0.0 leaves any
+accumulator other than -0.0 unchanged. The dense matmul and the
+compressed product of a decoded term therefore agree bit for bit. This
+needs a zeroed ``out``: every caller passes one. Nothing here calls BLAS,
+whose summation order is not pinned.
 
-A column step forms its products as an exact outer product,
-``einsum("i,j->ij")``, which writes each one as ``0 + a*b``: the same
-correctly rounded product, except that -0.0 comes out +0.0. Since the
-accumulator is never -0.0, adding +0.0 in place of -0.0 changes no bit.
-Nothing here calls BLAS, whose summation order is not pinned.
+The loop is built on the first product, not at import, by ``sysconfig``'s
+C compiler with -ffp-contract=off, which keeps every multiply and add
+rounded on its own. The library is cached under ``$XDG_CACHE_HOME/tasd``
+(default ``~/.cache/tasd``), named by a hash of the source, the command
+and the host. ``ctypes`` releases the GIL during each call, so two sweep
+workers can run their products at the same time. Without a compiler, the
+first product raises an ``OSError`` that quotes the compiler's command.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import threading
+from pathlib import Path
+
 import numpy as np
+
+_SOURCE = Path(__file__).with_name("_products.c")
+_BUILD = threading.Lock()
+_loop = None
 
 
 def block_order(flat):
@@ -90,91 +109,104 @@ def extract_term_blocks(residual, n, m):
     return values.reshape(shape), indices.reshape(shape)
 
 
-# Rows per tile of the dense matmul's row steps. A tile's sort, step
-# indices and scratch buffer grow with its rows. At 128 rows, a 256 x 256
-# product's peak memory matches what its column steps need, and products
-# of up to 128 rows stay in one tile.
-TILE_ROWS = 128
-
-
-def _accumulate(steps, b, out):
-    """out += column * b[k] for each (column, k) of ``steps``, in order.
-
-    ``column`` holds one left-operand value per row of ``out``, and ``k``
-    names the row of ``b`` it multiplies: one index for every row, or an
-    array with one index per row. Each row meets its k in ascending order
-    across the steps.
-
-    The one selection rule of both products: a step with more than
-    a third of its rows non-zero updates ``out`` whole (its other rows add
-    exact zeros), a sparser one updates only its own rows, and an empty
-    one does no work. Every step works in one out-sized scratch buffer.
-    """
-    scratch = np.empty_like(out)
-    for column, k in steps:
-        count = np.count_nonzero(column)
-        if 3 * count > out.shape[0]:
-            _scaled_rows(column, b, k, scratch)
-            out += scratch
-        elif count:
-            rows = column.nonzero()[0]
-            part, sums = scratch[:count], scratch[count:2 * count]
-            _scaled_rows(column[rows], b, k if isinstance(k, int) else k[rows], part)
-            np.take(out, rows, axis=0, out=sums, mode="clip")
-            sums += part
-            out[rows] = sums
-
-
-def _scaled_rows(column, b, k, product):
-    """product = column[:, None] * b[k], written in place. Every index is
-    in range (from ``matmul_into``, or packed indices checked before
-    ``spmm_into``), so the gather need not check it. One ``k`` (a column
-    step) is an outer product: ``einsum`` skips the per-row cost of a
-    broadcast multiply, and its +0.0 for a -0.0 product changes no sum
-    (module docstring). Per-row ``k`` gathers, then multiplies."""
-    if isinstance(k, int):
-        np.einsum("i,j->ij", column, b[k], out=product)
-    else:
-        np.take(b, k, axis=0, out=product, mode="clip")
-        np.multiply(column[:, None], product, out=product)
-
-
 def matmul_into(a, b, out):
-    """out += a @ b with ascending-k accumulation per output element.
-
-    When no row of ``a`` has more than half of its K columns non-zero, the
-    product runs in tiles of at most ``TILE_ROWS`` rows, and step s of a
-    tile takes the s-th non-zero of every row, in ascending column order,
-    with zero padding in shorter rows (the slot layout of ``spmm_into``).
-    A tile then costs as many steps as its widest row has non-zeros.
-    Otherwise step k is column k of ``a``.
-    """
-    rows, inner = a.shape
-    nnz = np.count_nonzero(a, axis=1)
-    if 2 * nnz.max(initial=0) > inner:
-        _accumulate(zip(a.T, range(inner)), b, out)
-        return
-    for lo in range(0, rows, TILE_ROWS):
-        part = slice(lo, lo + TILE_ROWS)
-        width = int(nnz[part].max())
-        if width:
-            # a stable sort puts each row's non-zeros first, in column order
-            ks = np.argsort(a[part] == 0, axis=1, kind="stable")[:, :width].T.copy()
-            tile, rowid = a[part], np.arange(ks.shape[1])
-            _accumulate(((tile[rowid, k], k) for k in ks), b, out[part])
+    """out += a @ b, each row of ``a`` walked in ascending column order."""
+    _products(a, None, 1, b, out)
 
 
 def spmm_into(values, indices, m, b, out):
-    """out += decode(term) @ b with ascending-k accumulation per output
-    element, one step per (block, slot) of the term.
+    """out += decode(term) @ b, each row walked through its (block, slot)
+    pairs in packed order; the term is never expanded to dense. Every index
+    is in range: ``tasd_matmul`` checks them first."""
+    _products(values, indices, m, b, out)
 
-    A step holds the slot's value in every row, zero where the slot is
-    unused, and multiplies the row of ``b`` that the slot's index names.
-    Valid slots of a block carry increasing indices, so each row meets its
-    columns in ascending order. The term is never expanded to dense.
-    """
-    rows, blocks, _ = values.shape
-    valid = indices >= 0
-    ks = np.where(valid, indices, 0) + m * np.arange(blocks)[:, None]
-    columns = np.where(valid, values, 0.0).transpose(1, 2, 0).reshape(-1, rows)
-    _accumulate(zip(columns, ks.transpose(1, 2, 0).reshape(-1, rows)), b, out)
+
+def _products(a, indices, m, b, out):
+    """The compiled loop over ``a``, (rows, K) dense or (rows, blocks, n)
+    packed with ``indices`` of its shape, into ``out``, a zeroed
+    C-contiguous float64 array. Operands are copied only when they are not
+    C-contiguous float64. The shapes are checked here, since the loop reads
+    and writes through bare pointers."""
+    loop = _loop or _built()
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    dense = indices is None
+    if not dense:
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+    rows, blocks, n = (*a.shape, 1)[:3]
+    if (out.dtype != np.float64 or not out.flags.c_contiguous
+            or out.shape != (rows, b.shape[1])
+            or blocks != (b.shape[0] if dense else -(-b.shape[0] // m))
+            or not dense and indices.shape != a.shape):
+        raise ValueError(f"cannot multiply {a.shape} by {b.shape} into {out.shape}")
+    loop(rows, blocks, n, m, out.shape[1], a.ctypes.data,
+         None if dense else indices.ctypes.data, b.ctypes.data, out.ctypes.data)
+
+
+def build_command() -> list[str]:
+    """The compiler command of ``_products.c``, less its input and output."""
+    import shlex
+    import sysconfig
+
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    return [*compiler, "-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared"]
+
+
+def _built():
+    """The loop, loaded by the first thread that needs it from a cache that
+    no other user can write, and compiled there first when it is missing.
+    Without such a cache, it is built in a private temporary directory,
+    removed once loaded."""
+    global _loop
+    import ctypes
+    import hashlib
+
+    with _BUILD:
+        if _loop is None:
+            command = build_command()
+            host = repr((_SOURCE.read_bytes(), command, platform.machine(), platform.node()))
+            root = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+            cache = os.path.join(root, "tasd")
+            with contextlib.suppress(OSError):
+                os.makedirs(cache, mode=0o700, exist_ok=True)
+            if not (_private(cache) and os.access(cache, os.W_OK)):
+                cache = None
+            folder = cache or tempfile.mkdtemp(prefix="tasd-")
+            path = os.path.join(folder, f"products-{hashlib.sha256(host.encode()).hexdigest()[:32]}.so")
+            try:
+                if not _private(path):
+                    _compile(command, path)
+                loop = ctypes.CDLL(path).tasd_products
+            finally:
+                if cache is None:
+                    shutil.rmtree(folder, ignore_errors=True)
+            loop.restype = None
+            loop.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 4
+            _loop = loop
+    return _loop
+
+
+def _private(path) -> bool:
+    """Whether ``path`` exists and no user but this one (or root) can change it."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return False
+    return st.st_uid in (0, os.getuid()) and not st.st_mode & 0o022
+
+
+def _compile(command, path):
+    """Compile the loop to ``path`` through a temporary name, so that a
+    concurrent process never loads half a file."""
+    part = f"{path}.{os.getpid()}.part"
+    try:
+        run = subprocess.run([*command, str(_SOURCE), "-o", part], capture_output=True, text=True)
+        if run.returncode:
+            raise OSError(run.stderr.strip())
+        os.chmod(part, 0o755)
+        os.replace(part, path)
+    except OSError as exc:
+        raise OSError(f"cannot build the product loop with `{' '.join(command)}`: {exc}") from None
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(part)

@@ -66,10 +66,15 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a bool (numpy scalars included)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _is_number(value) -> bool:
-    """A finite real number that is not a bool (numpy scalars included);
-    NaN, Inf and integers too large for a float are refused."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    """A finite ``_is_real``; NaN, Inf and integers too large for a float
+    are refused."""
+    if not _is_real(value):
         return False
     try:
         return math.isfinite(value)

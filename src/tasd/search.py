@@ -14,6 +14,7 @@ from .matrix import (
     PatternMenu,
     TasdConfig,
     _is_number,
+    _is_real,
     as_matrix,
     block_nnz,
     dense_config,
@@ -154,10 +155,14 @@ def network_wise_search(
 
 def sparsity_select(layer_sparsity: float, alpha: float, menu: PatternMenu) -> TasdConfig:
     """Config with the largest approximated sparsity strictly below
-    layer_sparsity + alpha; dense when none fits or the target is <= 0."""
+    layer_sparsity + alpha; dense when none fits or the target is <= 0.
+    Each must be a real number (else ``ValueError``) and finite (else
+    ``NonFiniteEntry``)."""
+    for name, value in (("sparsity", layer_sparsity), ("alpha", alpha)):
+        if not _is_number(value):
+            error = NonFiniteEntry if _is_real(value) else ValueError
+            raise error(f"{name} must be a finite number, got {value!r}")
     target = layer_sparsity + alpha
-    if not np.isfinite(target):
-        raise NonFiniteEntry(f"sparsity {layer_sparsity} plus alpha {alpha} is not finite")
     # configs come by coverage ascending, so the first that fits is the sparsest
     fits = (cfg for cfg in enumerate_configs(menu) if cfg.approximated_sparsity < target)
     return next(fits, dense_config(menu))
@@ -175,8 +180,8 @@ def pseudo_density(magnitudes, rho: float = 0.99) -> float:
     """Smallest k/len whose k largest entries of the array-like
     ``magnitudes`` (any shape) sum to at least rho of the total; 0 for an
     all-zero (or empty) input."""
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"rho must be in (0, 1], got {rho}")
+    if not (_is_number(rho) and 0.0 < rho <= 1.0):
+        raise ValueError(f"rho must be a number in (0, 1], got {rho!r}")
     mags = np.abs(np.asarray(magnitudes, dtype=np.float64)).ravel()
     if not np.isfinite(mags).all():
         raise NonFiniteEntry("magnitudes must be finite")

@@ -23,6 +23,14 @@ from tasd import TasdConfig, new_dense
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
+
+@pytest.fixture(autouse=True, scope="session")
+def _product_cache(tmp_path_factory):
+    """The compiled product loop is built into this run's own cache, shared
+    with its child processes, not into the user's ``~/.cache/tasd``."""
+    os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("cache"))
+
+
 # hand matrix with mixed block occupancy: 37.5% sparse, entry sum 25,
 # lossless under 2:4 followed by 2:8
 EXAMPLE_2X8 = new_dense(

@@ -2,6 +2,8 @@
 distributivity identity, and the relative-error sweep."""
 
 import hashlib
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -58,10 +60,9 @@ def matrix_pairs(max_side=12):
     ).flatmap(build)
 
 
-# the numpy products update every row when more than a third of the rows
-# in a step (a column of A, or one slot of a term) are non-zero, and only
-# those rows otherwise; these kinds of column of A cover both branches and
-# the rule's boundary on either side
+# kinds of column of A, from empty to full; they were drawn to cover the
+# row rule of the numpy step loop that the compiled loop replaced (more
+# than a third of a step's rows non-zero), and stay as varied inputs
 COLUMN_KINDS = ("empty", "sparse", "at_rule", "past_rule", "full")
 # signed zeros, and a pair whose product underflows to -0.0
 SPECIAL = (-0.0, 1e-200, -1e-200, 1.5, -2.25)
@@ -99,7 +100,8 @@ def masked_pairs(draw):
 @st.composite
 def row_width_pairs(draw):
     """(A, B) whose widest row of A holds K/2 - 1, K/2 or K/2 + 1
-    non-zeros, either side of the switch to row steps, or an all-zero A.
+    non-zeros, either side of the numpy loop's old switch to row steps,
+    or an all-zero A.
     Other rows hold fewer non-zeros, often none; A holds -0.0 off its
     support, and both operands hold signed zeros and underflowing
     entries."""
@@ -137,8 +139,8 @@ OUTER_SPECIAL = (0.0, -0.0, -1.5, 1e-160, -1e-160, 1e300, -1e300)
 
 @st.composite
 def column_step_pairs(draw):
-    """(A, B) that the dense matmul runs on column steps: one row of A is
-    more than half dense. A mixes columns past the one-third rule (full
+    """(A, B) that the numpy loop ran on column steps: one row of A is
+    more than half dense. A mixes columns past its one-third rule (full
     updates) with sparser ones (row updates), and both operands draw from
     ``OUTER_SPECIAL``."""
     rows = draw(st.integers(6, 40))
@@ -205,56 +207,97 @@ class TestMatmul:
         with np.errstate(over="ignore", invalid="ignore"):
             assert matmul(a, b).tobytes() == py_matmul(a, b).tobytes()
 
+    def test_no_fused_multiply_add(self):
+        # -1 + (1 + e)(1 - e) with e = 2**-30: the product rounds to 1.0,
+        # so the sum is 0.0; a fused multiply-add keeps -e**2 = -8.67e-19
+        a = [[1.0, 1 + 2**-30]]
+        b = [[-1.0] * 8, [1 - 2**-30] * 8]
+        assert matmul(a, b).tolist() == [[0.0] * 8]
+        term, _ = extract_term(a, NmPattern(2, 2))
+        assert tasd_matmul(series_of(term), b)[0].tolist() == [[0.0] * 8]
+
+    @pytest.mark.parametrize(
+        "product",
+        [
+            lambda: tasd._kernels.matmul_into(np.ones((2, 3)), np.ones((4, 2)), np.zeros((2, 2))),
+            lambda: tasd._kernels.matmul_into(np.ones((2, 3)), np.ones((3, 2)), np.zeros((2, 3))),
+            lambda: tasd._kernels.matmul_into(np.ones((2, 3)), np.ones((3, 2)), np.zeros((2, 4))[:, ::2]),
+            lambda: tasd._kernels.spmm_into(np.ones((2, 1, 2)), np.zeros((2, 2), dtype=np.int64), 4,
+                                            np.ones((4, 2)), np.zeros((2, 2))),
+            lambda: tasd._kernels.spmm_into(np.ones((2, 1, 2)), np.zeros((2, 1, 2), dtype=np.int64), 4,
+                                            np.ones((8, 2)), np.zeros((2, 2))),
+        ],
+        ids=["inner", "out-shape", "out-strided", "index-shape", "blocks"],
+    )
+    def test_loop_refuses_mismatched_buffers(self, product):
+        # the loop reads and writes through bare pointers
+        with pytest.raises(ValueError, match="cannot multiply"):
+            product()
+
+    def test_loop_is_built_without_contraction(self):
+        command = tasd._kernels.build_command()
+        assert "-ffp-contract=off" in command
+        assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"} & set(command)
+
+
+# a product in a fresh process, written as the hex of its bytes
+PRODUCT = (
+    "import sys, numpy as np, tasd; "
+    "p = tasd.matmul(np.arange(12.0).reshape(3, 4) / 7, np.arange(8.0).reshape(4, 2) / 3); "
+    "sys.stdout.write(p.tobytes().hex())"
+)
+
+
+class TestProductBuild:
+    """The compiled loop is built on the first product into
+    ``$XDG_CACHE_HOME/tasd``, once, and reused by later processes."""
+
     @staticmethod
-    def count_steps(monkeypatch) -> list[int]:
-        """Steps of each ``_accumulate`` call from here on, in call order."""
-        steps_per_call = []
-        accumulate = tasd._kernels._accumulate
+    def start(cache, *args, **env):
+        return subprocess.Popen(
+            [sys.executable, *(args or ("-c", PRODUCT))],
+            env={**os.environ, "XDG_CACHE_HOME": str(cache), **env},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
 
-        def counted(steps, b, out):
-            steps = list(steps)
-            steps_per_call.append(len(steps))
-            accumulate(steps, b, out)
+    def run(self, cache, *args, **env):
+        proc = self.start(cache, *args, **env)
+        out, err = proc.communicate(timeout=120)
+        return proc.returncode, out, err
 
-        monkeypatch.setattr(tasd._kernels, "_accumulate", counted)
-        return steps_per_call
+    @staticmethod
+    def listing(cache):
+        return {p.name: p.stat().st_mtime_ns for p in (cache / "tasd").iterdir()}
 
-    @pytest.mark.parametrize("width", range(0, 10))
-    def test_row_steps_count_the_widest_row(self, monkeypatch, width):
-        # K = 16: up to 8 non-zeros per row take one step per slot of the
-        # widest row, more take one step per column; an all-zero A (width
-        # 0, all -0.0) takes none
-        rng = np.random.default_rng(width)
-        a = np.full((12, 16), -0.0)
-        for i in range(12):
-            count = width if i == 5 else rng.integers(0, width + 1)
-            a[i, rng.permutation(16)[:count]] = rng.normal(size=count) + 3.0
-        b = rng.normal(size=(16, 4))
-        steps = self.count_steps(monkeypatch)
-        product = matmul(a, b)
-        assert sum(steps) == (width if 2 * width <= 16 else 16)
-        assert product.tobytes() == py_matmul(a, b).tobytes()
+    def test_built_once_then_reused(self, tmp_path):
+        code, first, _ = self.run(tmp_path)
+        built = self.listing(tmp_path)
+        assert code == 0 and len(built) == 1 and next(iter(built)).endswith(".so")
+        code, second, _ = self.run(tmp_path)
+        assert code == 0 and second == first
+        assert self.listing(tmp_path) == built
 
-    def test_row_steps_run_in_tiles(self, monkeypatch):
-        # tiles of TILE_ROWS rows, each as many steps as its widest row
-        # has non-zeros (4, 3, none, 1); one row past half of K puts the
-        # whole product on K column steps
-        tile = tasd._kernels.TILE_ROWS
-        rng = np.random.default_rng(3)
-        a = np.zeros((3 * tile + 5, 8))
-        a[:tile, :4] = rng.normal(size=(tile, 4))
-        a[tile:2 * tile, 2:5] = rng.normal(size=(tile, 3))
-        a[3 * tile:, 7] = 1.5
-        b = rng.normal(size=(8, 3))
-        steps = self.count_steps(monkeypatch)
-        product = matmul(a, b)
-        assert steps == [4, 3, 1]
-        assert product.tobytes() == py_matmul(a, b).tobytes()
-        a[2 * tile, :5] = 2.0
-        steps.clear()
-        product = matmul(a, b)
-        assert steps == [8]
-        assert product.tobytes() == py_matmul(a, b).tobytes()
+    def test_concurrent_first_products_agree(self, tmp_path):
+        procs = [self.start(tmp_path) for _ in range(2)]
+        results = [(proc.communicate(timeout=120)[0], proc.returncode) for proc in procs]
+        assert results[0] == results[1] and results[0][1] == 0
+        assert len(self.listing(tmp_path)) == 1
+
+    def test_no_compiler_is_an_os_error(self, tmp_path):
+        code, _, err = self.run(tmp_path, PATH="")
+        assert code == 1 and "OSError" in err
+        assert " ".join(tasd._kernels.build_command()) in err
+        code, _, err = self.run(
+            tmp_path, "-m", "tasd.cli", "analyze", "--sweep", "matmul-error", "--num-seeds", "1",
+            PATH="",
+        )
+        assert code == 2 and len(err.splitlines()) == 1 and "cannot build" in err
+        code, out, _ = self.run(
+            tmp_path, "-m", "tasd.cli", "analyze", "--sweep", "appendixA", "--num-seeds", "1",
+            PATH="",
+        )
+        assert code == 0 and out.startswith("density,")
+        assert self.listing(tmp_path) == {}
 
 
 def series_of(term):

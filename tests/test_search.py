@@ -267,6 +267,21 @@ class TestPseudoDensity:
         assert result == k / len(values)
 
 
+@pytest.mark.parametrize("value", [True, "0.5", None])
+@pytest.mark.parametrize("argument", ["rho", "alpha", "sparsity"])
+def test_selection_numbers_must_be_numbers(argument, value):
+    # rho=True gave 0.9 and alpha=True picked 2:4, taking the bool as 1.0;
+    # strings and None escaped as TypeError
+    menu = TestSparsitySelect.H_MENU
+    call = {
+        "rho": lambda: pseudo_density(np.arange(10.0), rho=value),
+        "alpha": lambda: sparsity_select(0.5, value, menu),
+        "sparsity": lambda: sparsity_select(value, 0.05, menu),
+    }[argument]
+    with pytest.raises(ValueError, match=f"{argument} must be a"):
+        call()
+
+
 class TestSampleSparsities:
     H_MENU = PatternMenu(4, frozenset({1, 2, 3}), 1)
 
