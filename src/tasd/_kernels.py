@@ -1,7 +1,13 @@
-"""Compute kernels: the package's one greedy order of each block's
-magnitudes, with its ranks and the extraction of each block's n largest
-non-zeros (vectorized numpy), and the two pinned products, dense matmul
-and compressed matmul, which run one compiled loop, ``_products.c``.
+"""Compute kernels, all in one compiled library, ``_kernels.c``: the
+package's one greedy order of each block's magnitudes, with its ranks and
+the extraction of each block's n largest non-zeros, and the two pinned
+products, dense matmul and compressed matmul, which run one loop.
+
+A block's greedy order puts the largest magnitude first and breaks ties
+to the lowest column. The rank of a slot is the number of slots before
+it: those at lower columns whose magnitude is >= and those at higher
+columns whose magnitude is >. Extraction keeps each slot ranked below n
+that holds a non-zero, so an exact zero (either sign) is never taken.
 
 Both products pin the same summation order: ascending k per output
 element, one rounding per multiply and per add, no fused multiply-add.
@@ -19,13 +25,15 @@ compressed product of a decoded term therefore agree bit for bit. This
 needs a zeroed ``out``: every caller passes one. Nothing here calls BLAS,
 whose summation order is not pinned.
 
-The loop is built on the first product, not at import, by ``sysconfig``'s
-C compiler with -ffp-contract=off, which keeps every multiply and add
-rounded on its own. The library is cached under ``$XDG_CACHE_HOME/tasd``
-(default ``~/.cache/tasd``), named by a hash of the source, the command
-and the host. ``ctypes`` releases the GIL during each call, so two sweep
-workers can run their products at the same time. Without a compiler, the
-first product raises an ``OSError`` that quotes the compiler's command.
+The library is built on the first rank pass, extraction or product, not
+at import, by ``sysconfig``'s C compiler with -ffp-contract=off, which
+keeps every multiply and add rounded on its own. It is cached under
+``$XDG_CACHE_HOME/tasd`` (default ``~/.cache/tasd``), named by a hash of
+the source, the command and the host. ``ctypes`` releases the GIL during
+each call, so two sweep workers can run their kernels at the same time.
+Without a compiler, that first call raises an ``OSError`` that quotes the
+compiler's command. The shapes, dtypes and layouts of the arrays are
+checked here, since the library reads and writes through bare pointers.
 """
 
 from __future__ import annotations
@@ -41,47 +49,30 @@ from pathlib import Path
 
 import numpy as np
 
-_SOURCE = Path(__file__).with_name("_products.c")
+_SOURCE = Path(__file__).with_name("_kernels.c")
 _BUILD = threading.Lock()
-_loop = None
-
-
-def block_order(flat):
-    """Flat positions of each row of ``flat`` (blocks, m), best first: the
-    stable argsort of -|x| (ties to the lowest column), plus m times the row."""
-    mags = np.abs(flat)
-    order = np.argsort(np.negative(mags, out=mags), axis=-1, kind="stable")
-    order += flat.shape[1] * np.arange(flat.shape[0])[:, None]
-    return order
+_lib = None
 
 
 def rank_blocks(blocks):
     """Rank of each magnitude along the last axis, 0 for the largest, ties to
-    the lowest index: 0..m-1 scattered through ``block_order``, in the
-    smallest unsigned dtype that holds m."""
-    m = blocks.shape[-1]
-    ranks = np.empty(blocks.shape, dtype=np.min_scalar_type(m))
-    ranks.reshape(-1)[block_order(blocks.reshape(-1, m))] = np.arange(m, dtype=ranks.dtype)
+    the lowest index, in the smallest unsigned dtype that holds m."""
+    ranks = np.empty(blocks.shape, dtype=np.min_scalar_type(blocks.shape[-1]))
+    rank_into(blocks, ranks)
     return ranks
 
 
-def top_by_passes(flat, n):
-    """Mask of the first n of each row in ``block_order``, by n argmax passes:
-    the first of equal maxima is the lowest column, and a pick becomes -1."""
-    keep = np.zeros(flat.size, dtype=bool)
-    mags, start = np.abs(flat), flat.shape[1] * np.arange(flat.shape[0])
-    for _ in range(n):
-        pick = mags.argmax(axis=1) + start
-        keep[pick] = True
-        mags.reshape(-1)[pick] = -1.0
-    return keep.reshape(flat.shape)
-
-
-def top_by_sort(flat, n):
-    """``top_by_passes``'s mask from the first n positions of ``block_order``."""
-    keep = np.zeros(flat.size, dtype=bool)
-    keep[block_order(flat)[:, :n]] = True
-    return keep.reshape(flat.shape)
+def rank_into(blocks, ranks):
+    """ranks = ``rank_blocks(blocks)``, into a C-contiguous array of that
+    shape and dtype."""
+    lib = _lib or _built()
+    blocks = np.ascontiguousarray(blocks, dtype=np.float64)
+    m = blocks.shape[-1]
+    if (m < 1 or ranks.shape != blocks.shape or ranks.dtype != np.min_scalar_type(m)
+            or not (ranks.flags.c_contiguous and ranks.flags.writeable)):
+        raise ValueError(f"cannot rank {blocks.shape} into {ranks.dtype} {ranks.shape}")
+    if lib.tasd_ranks(blocks.size // m, m, ranks.itemsize, blocks.ctypes.data, ranks.ctypes.data):
+        raise MemoryError("no scratch for the block ranks")
 
 
 def extract_term_blocks(residual, n, m):
@@ -89,24 +80,28 @@ def extract_term_blocks(residual, n, m):
     column) out of ``residual`` ((rows, blocks*m), contiguous, modified in
     place) and return them packed: values and indices, each (rows, blocks,
     n), hold the kept slots in ascending column order, then 0.0 and -1."""
-    flat = residual.reshape(-1, m)
-    # both masks agree; the passes are faster while 3n <= m + 2 (m = 4, 8, 16)
-    keep = (top_by_passes if 3 * n <= m + 2 else top_by_sort)(flat, n)
-    keep &= flat != 0.0
-    # outputs before the packing temporaries, or glibc trims the heap
-    values = np.zeros(flat.shape[0] * n)
-    indices = np.full(values.size, -1, dtype=np.int64)
-    pos = np.flatnonzero(keep)  # column-ascending within each block
-    block = pos // m
-    counts = np.bincount(block, minlength=flat.shape[0])
-    # the i-th kept entry, the j-th of its block b, goes to slot b*n + j
-    slot = np.arange(pos.size) + (n * np.arange(counts.size) - np.cumsum(counts) + counts)[block]
-    entries = residual.reshape(-1)
-    values[slot] = entries[pos]
-    indices[slot] = pos - m * block
-    entries[pos] = 0.0
-    shape = (residual.shape[0], -1, n)
-    return values.reshape(shape), indices.reshape(shape)
+    shape = (residual.shape[0], residual.shape[-1] // m, n)
+    values, indices = np.empty(shape), np.empty(shape, dtype=np.int64)
+    extract_into(residual, n, m, values, indices)
+    return values, indices
+
+
+def extract_into(residual, n, m, values, indices):
+    """``extract_term_blocks(residual, n, m)``, into ``values`` and
+    ``indices``, C-contiguous float64 and int64 arrays of its shape."""
+    lib = _lib or _built()
+    rows, cols = residual.shape[0], residual.shape[-1]
+    if (residual.ndim != 2 or not 1 <= n <= m or cols % m
+            or residual.dtype != np.float64
+            or not (residual.flags.c_contiguous and residual.flags.writeable)
+            or values.dtype != np.float64 or indices.dtype != np.int64
+            or any(a.shape != (rows, cols // m, n)
+                   or not (a.flags.c_contiguous and a.flags.writeable) for a in (values, indices))):
+        raise ValueError(f"cannot extract {n}:{m} from {residual.shape} "
+                         f"into {values.shape} and {indices.shape}")
+    if lib.tasd_extract(rows * cols // m, n, m, residual.ctypes.data,
+                        values.ctypes.data, indices.ctypes.data):
+        raise MemoryError("no scratch for the extraction")
 
 
 def matmul_into(a, b, out):
@@ -127,7 +122,7 @@ def _products(a, indices, m, b, out):
     C-contiguous float64 array. Operands are copied only when they are not
     C-contiguous float64. The shapes are checked here, since the loop reads
     and writes through bare pointers."""
-    loop = _loop or _built()
+    lib = _lib or _built()
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     dense = indices is None
@@ -139,12 +134,12 @@ def _products(a, indices, m, b, out):
             or blocks != (b.shape[0] if dense else -(-b.shape[0] // m))
             or not dense and indices.shape != a.shape):
         raise ValueError(f"cannot multiply {a.shape} by {b.shape} into {out.shape}")
-    loop(rows, blocks, n, m, out.shape[1], a.ctypes.data,
-         None if dense else indices.ctypes.data, b.ctypes.data, out.ctypes.data)
+    lib.tasd_products(rows, blocks, n, m, out.shape[1], a.ctypes.data,
+                      None if dense else indices.ctypes.data, b.ctypes.data, out.ctypes.data)
 
 
 def build_command() -> list[str]:
-    """The compiler command of ``_products.c``, less its input and output."""
+    """The compiler command of ``_kernels.c``, less its input and output."""
     import shlex
     import sysconfig
 
@@ -153,16 +148,16 @@ def build_command() -> list[str]:
 
 
 def _built():
-    """The loop, loaded by the first thread that needs it from a cache that
-    no other user can write, and compiled there first when it is missing.
-    Without such a cache, it is built in a private temporary directory,
-    removed once loaded."""
-    global _loop
+    """The library, loaded by the first thread that needs it from a cache
+    that no other user can write, and compiled there first when it is
+    missing. Without such a cache, it is built in a private temporary
+    directory, removed once loaded."""
+    global _lib
     import ctypes
     import hashlib
 
     with _BUILD:
-        if _loop is None:
+        if _lib is None:
             command = build_command()
             host = repr((_SOURCE.read_bytes(), command, platform.machine(), platform.node()))
             root = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
@@ -172,18 +167,22 @@ def _built():
             if not (_private(cache) and os.access(cache, os.W_OK)):
                 cache = None
             folder = cache or tempfile.mkdtemp(prefix="tasd-")
-            path = os.path.join(folder, f"products-{hashlib.sha256(host.encode()).hexdigest()[:32]}.so")
+            path = os.path.join(folder, f"kernels-{hashlib.sha256(host.encode()).hexdigest()[:32]}.so")
             try:
                 if not _private(path):
                     _compile(command, path)
-                loop = ctypes.CDLL(path).tasd_products
+                lib = ctypes.CDLL(path)
             finally:
                 if cache is None:
                     shutil.rmtree(folder, ignore_errors=True)
-            loop.restype = None
-            loop.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 4
-            _loop = loop
-    return _loop
+            i64, ptr = ctypes.c_int64, ctypes.c_void_p
+            lib.tasd_ranks.restype = lib.tasd_extract.restype = ctypes.c_int
+            lib.tasd_ranks.argtypes = [i64] * 3 + [ptr] * 2
+            lib.tasd_extract.argtypes = [i64] * 3 + [ptr] * 3
+            lib.tasd_products.restype = None
+            lib.tasd_products.argtypes = [i64] * 5 + [ptr] * 4
+            _lib = lib
+    return _lib
 
 
 def _private(path) -> bool:
@@ -196,7 +195,7 @@ def _private(path) -> bool:
 
 
 def _compile(command, path):
-    """Compile the loop to ``path`` through a temporary name, so that a
+    """Compile the library to ``path`` through a temporary name, so that a
     concurrent process never loads half a file."""
     part = f"{path}.{os.getpid()}.part"
     try:
@@ -206,7 +205,7 @@ def _compile(command, path):
         os.chmod(part, 0o755)
         os.replace(part, path)
     except OSError as exc:
-        raise OSError(f"cannot build the product loop with `{' '.join(command)}`: {exc}") from None
+        raise OSError(f"cannot build the kernels with `{' '.join(command)}`: {exc}") from None
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(part)

@@ -276,8 +276,8 @@ class NmCompressed:
 
     Construction checks shapes, finiteness and that unused slots hold 0;
     ``decode`` and ``tasd_matmul`` check the indices they read. A corrupt
-    term thus builds, but checking here would add 15-30% to the time of
-    ``extract_term`` on a 128x128 term (numpy kernels, 2-CPU x86 host),
+    term thus builds, but checking here would add 34-125% to the time of
+    ``extract_term`` on a 128x128 term (compiled kernels, 2-CPU x86 host),
     which is ``sweep_synthetic``'s hot path.
     """
 

@@ -25,8 +25,8 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 
 
 @pytest.fixture(autouse=True, scope="session")
-def _product_cache(tmp_path_factory):
-    """The compiled product loop is built into this run's own cache, shared
+def _kernel_cache(tmp_path_factory):
+    """The compiled kernels are built into this run's own cache, shared
     with its child processes, not into the user's ``~/.cache/tasd``."""
     os.environ["XDG_CACHE_HOME"] = str(tmp_path_factory.mktemp("cache"))
 

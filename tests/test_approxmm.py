@@ -217,21 +217,42 @@ class TestMatmul:
         assert tasd_matmul(series_of(term), b)[0].tolist() == [[0.0] * 8]
 
     @pytest.mark.parametrize(
-        "product",
+        "product, refusal",
         [
-            lambda: tasd._kernels.matmul_into(np.ones((2, 3)), np.ones((4, 2)), np.zeros((2, 2))),
-            lambda: tasd._kernels.matmul_into(np.ones((2, 3)), np.ones((3, 2)), np.zeros((2, 3))),
-            lambda: tasd._kernels.matmul_into(np.ones((2, 3)), np.ones((3, 2)), np.zeros((2, 4))[:, ::2]),
-            lambda: tasd._kernels.spmm_into(np.ones((2, 1, 2)), np.zeros((2, 2), dtype=np.int64), 4,
-                                            np.ones((4, 2)), np.zeros((2, 2))),
-            lambda: tasd._kernels.spmm_into(np.ones((2, 1, 2)), np.zeros((2, 1, 2), dtype=np.int64), 4,
-                                            np.ones((8, 2)), np.zeros((2, 2))),
+            (lambda: tasd._kernels.matmul_into(np.ones((2, 3)), np.ones((4, 2)), np.zeros((2, 2))),
+             "cannot multiply"),
+            (lambda: tasd._kernels.matmul_into(np.ones((2, 3)), np.ones((3, 2)), np.zeros((2, 3))),
+             "cannot multiply"),
+            (lambda: tasd._kernels.matmul_into(np.ones((2, 3)), np.ones((3, 2)), np.zeros((2, 4))[:, ::2]),
+             "cannot multiply"),
+            (lambda: tasd._kernels.spmm_into(np.ones((2, 1, 2)), np.zeros((2, 2), dtype=np.int64), 4,
+                                             np.ones((4, 2)), np.zeros((2, 2))),
+             "cannot multiply"),
+            (lambda: tasd._kernels.spmm_into(np.ones((2, 1, 2)), np.zeros((2, 1, 2), dtype=np.int64), 4,
+                                             np.ones((8, 2)), np.zeros((2, 2))),
+             "cannot multiply"),
+            (lambda: tasd._kernels.extract_term_blocks(np.ones((2, 6)), 2, 4), "cannot extract"),
+            (lambda: tasd._kernels.extract_term_blocks(np.ones((2, 16))[:, ::2], 2, 4), "cannot extract"),
+            (lambda: tasd._kernels.extract_term_blocks(np.frombuffer(bytes(128)).reshape(2, 8), 2, 4),
+             "cannot extract"),
+            (lambda: tasd._kernels.extract_into(np.ones((2, 8)), 2, 4, np.empty((2, 2, 1)),
+                                                np.empty((2, 2, 2), dtype=np.int64)),
+             "cannot extract"),
+            (lambda: tasd._kernels.extract_into(np.ones((2, 8)), 2, 4, np.empty((2, 2, 2)),
+                                                np.empty((2, 2, 2), dtype=np.int32)),
+             "cannot extract"),
+            (lambda: tasd._kernels.rank_into(np.ones((2, 4)), np.empty((2, 3), dtype=np.uint8)),
+             "cannot rank"),
+            (lambda: tasd._kernels.rank_into(np.ones((2, 4)), np.empty((2, 4), dtype=np.int64)),
+             "cannot rank"),
         ],
-        ids=["inner", "out-shape", "out-strided", "index-shape", "blocks"],
+        ids=["inner", "out-shape", "out-strided", "index-shape", "blocks",
+             "extract-width", "extract-strided", "extract-read-only", "extract-values-shape",
+             "extract-index-dtype", "rank-shape", "rank-dtype"],
     )
-    def test_loop_refuses_mismatched_buffers(self, product):
-        # the loop reads and writes through bare pointers
-        with pytest.raises(ValueError, match="cannot multiply"):
+    def test_loop_refuses_mismatched_buffers(self, product, refusal):
+        # the compiled kernels read and write through bare pointers
+        with pytest.raises(ValueError, match=refusal):
             product()
 
     def test_loop_is_built_without_contraction(self):
@@ -246,11 +267,12 @@ PRODUCT = (
     "p = tasd.matmul(np.arange(12.0).reshape(3, 4) / 7, np.arange(8.0).reshape(4, 2) / 3); "
     "sys.stdout.write(p.tobytes().hex())"
 )
+DECOMPOSE = "import numpy as np, tasd; tasd.decompose(np.eye(4), '2:4')"
 
 
 class TestProductBuild:
-    """The compiled loop is built on the first product into
-    ``$XDG_CACHE_HOME/tasd``, once, and reused by later processes."""
+    """The compiled kernels are built on the first product or extraction
+    into ``$XDG_CACHE_HOME/tasd``, once, and reused by later processes."""
 
     @staticmethod
     def start(cache, *args, **env):
@@ -292,11 +314,13 @@ class TestProductBuild:
             PATH="",
         )
         assert code == 2 and len(err.splitlines()) == 1 and "cannot build" in err
-        code, out, _ = self.run(
+        code, _, err = self.run(tmp_path, "-c", DECOMPOSE, PATH="")
+        assert code == 1 and "OSError" in err and "cannot build" in err
+        code, _, err = self.run(
             tmp_path, "-m", "tasd.cli", "analyze", "--sweep", "appendixA", "--num-seeds", "1",
             PATH="",
         )
-        assert code == 0 and out.startswith("density,")
+        assert code == 2 and len(err.splitlines()) == 1 and "cannot build" in err
         assert self.listing(tmp_path) == {}
 
 

@@ -154,14 +154,16 @@ class TestExtractTerm:
     def test_matches_pure_python_reference(self, mat, pattern):
         self.assert_matches_reference(mat, pattern)
 
-    @pytest.mark.parametrize("m", range(1, 17))
+    @pytest.mark.parametrize("m", [*range(1, 17), 17, 32, 64, 255, 256, 1024])
     def test_packed_layout_of_tied_and_short_blocks(self, m):
-        # every n at this m, on rows of tied magnitudes with both zeros,
-        # ending in a partial block for every m above 1; at m = 16 a small
-        # n takes argmax passes and a large n the sort
-        row = (TIED_ROW * 3)[: m + (m + 1) // 2]
-        for n in range(1, m + 1):
-            self.assert_matches_reference(np.array([row, row[::-1]]), NmPattern(n, m))
+        # every n at this m (three at m = 1024), on rows of tied magnitudes
+        # with both zeros, one all tied and one all zero, ending in a
+        # partial block for every m above 1; blocks wider than 64 are
+        # ranked fewer at a time
+        row = np.resize(TIED_ROW, m + (m + 1) // 2)
+        mat = np.array([row, row[::-1], np.full(row.size, -1.0), np.zeros(row.size)])
+        for n in (1, 512, 1023) if m == 1024 else range(1, m + 1):
+            self.assert_matches_reference(mat, NmPattern(n, m))
 
     @given(matrices(max_side=10), small_patterns)
     @settings(max_examples=80, deadline=None)
@@ -178,36 +180,17 @@ class TestExtractTerm:
                 assert nnz(kept) == min(pattern.n, nnz(block))
 
 
-class TestTopOfBlocks:
-    # extraction's two ways to each block's n largest, each called directly,
-    # so that neither depends on where the rule between them lies
-    MAT = np.array(
-        [np.roll(np.resize(TIED_ROW, 48), r) for r in range(5)]
-        + [np.full(48, -1.0), np.zeros(48)]
-    )
-
-    @pytest.mark.parametrize("m", [4, 8, 16])
-    @pytest.mark.parametrize("way", ["top_by_passes", "top_by_sort"])
-    def test_keeps_the_greedy_order(self, m, way):
-        mat = self.MAT.copy()
-        flat = mat.reshape(-1, m)
-        ranks = py_ranks(mat, m).reshape(-1, m)
-        for n in range(1, m + 1):
-            keep = getattr(tasd._kernels, way)(flat, n) & (flat != 0.0)
-            assert keep.tolist() == ((ranks < n) & (flat != 0.0)).tolist()
-        assert mat.tobytes() == self.MAT.tobytes()  # read, never written
-
-
 # ---------------------------------------------------------------------------
 # series decomposition
 
 
 class TestBlockRanks:
-    @pytest.mark.parametrize("m", range(1, 17))
+    @pytest.mark.parametrize("m", [*range(1, 17), 255, 256])
     @given(mat=tied_matrices())
     @settings(max_examples=25, deadline=None)
     def test_matches_pure_python_reference(self, m, mat):
         # partial blocks, ties and both signed zeros, at every block width
+        # up to 16 and either side of the uint8 -> uint16 rank dtype
         ranks = tasd.decomp.block_ranks(mat, m)
         assert ranks.dtype == np.min_scalar_type(m)
         assert ranks.tolist() == py_ranks(mat, m).tolist()

@@ -314,15 +314,13 @@ def test_kernels_use_no_unpinned_product():
 
 def test_only_kernels_sort():
     # the greedy order (largest magnitude first, ties to the lowest column)
-    # is found in one place, ``_kernels``, in two ways: the stable sort of
-    # ``block_order``, which ``rank_blocks`` and a large n read, and argmax
-    # passes, which take the first of equal maxima, for a small n; one
-    # comparison of n with m picks the way. No other module orders
-    # magnitudes by a rule of its own
+    # is found in one place, the compiled ``_kernels`` library, whose rank
+    # pass and extraction count the slots before each slot; no Python
+    # module orders magnitudes by a rule of its own
     orderings = {"argsort", "argmax", "argmin", "put_along_axis"}
     found = [
         f"{module}.py line {node.lineno}"
-        for module in sorted(MODULES - {"_kernels"})
+        for module in sorted(MODULES)
         for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
         if orderings & {getattr(node, "attr", None), getattr(node, "id", None)}
     ]
