@@ -54,25 +54,25 @@ _BUILD = threading.Lock()
 _lib = None
 
 
-def rank_blocks(blocks):
-    """Rank of each magnitude along the last axis, 0 for the largest, ties to
-    the lowest index, in the smallest unsigned dtype that holds m."""
-    ranks = np.empty(blocks.shape, dtype=np.min_scalar_type(blocks.shape[-1]))
-    rank_into(blocks, ranks)
-    return ranks
+def pad_blocks(arr: np.ndarray, m: int) -> np.ndarray:
+    """A writable copy of ``arr`` zero-padded on the right to whole m-blocks,
+    which start at column 0 of each row; no other module pads a block."""
+    rows, cols = arr.shape
+    padded = np.zeros((rows, -(-cols // m) * m))
+    padded[:, :cols] = arr
+    return padded
 
 
-def rank_into(blocks, ranks):
-    """ranks = ``rank_blocks(blocks)``, into a C-contiguous array of that
-    shape and dtype."""
+def block_ranks(mat, m):
+    """Rank of each entry of the 2-D ``mat`` in its m-block, in the smallest
+    unsigned dtype that holds m: 0 for the largest magnitude, ties to the
+    lowest column. The zeros that pad a partial block rank last."""
     lib = _lib or _built()
-    blocks = np.ascontiguousarray(blocks, dtype=np.float64)
-    m = blocks.shape[-1]
-    if (m < 1 or ranks.shape != blocks.shape or ranks.dtype != np.min_scalar_type(m)
-            or not (ranks.flags.c_contiguous and ranks.flags.writeable)):
-        raise ValueError(f"cannot rank {blocks.shape} into {ranks.dtype} {ranks.shape}")
-    if lib.tasd_ranks(blocks.size // m, m, ranks.itemsize, blocks.ctypes.data, ranks.ctypes.data):
+    padded = pad_blocks(mat, m)
+    ranks = np.empty(padded.shape, dtype=np.min_scalar_type(m))
+    if lib.tasd_ranks(padded.size // m, m, ranks.itemsize, padded.ctypes.data, ranks.ctypes.data):
         raise MemoryError("no scratch for the block ranks")
+    return ranks[:, :mat.shape[1]]
 
 
 def extract_term_blocks(residual, n, m):

@@ -19,19 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import rank_blocks
+from ._kernels import block_ranks
 from ._parallel import map_ordered
 from .matrix import (
     DenseMatrix,
     NmCompressed,
     TasdConfig,
     _check_dims,
+    _is_int,
     as_matrix,
     config_of,
     extract_term,
     freeze,
     held,
-    pad_blocks,
     render_csv,
 )
 
@@ -70,24 +70,12 @@ def approximate(mat, config) -> DenseMatrix:
     return RankedMatrix(mat).approximation(config)
 
 
-def block_ranks(mat, m: int) -> np.ndarray:
-    """``_kernels.rank_blocks`` over the m-blocks of each row: 0 for the
-    largest magnitude, ties to the lowest column, the order in which
-    greedy extraction takes entries. A partial block is padded with zeros,
-    which rank after every real entry."""
-    arr = as_matrix(mat)
-    rows, cols = arr.shape
-    ranks = rank_blocks(pad_blocks(arr, m).reshape(rows, -1, m))
-    return ranks.reshape(rows, -1)[:, :cols]
-
-
 class RankedMatrix:
     """A matrix and the series work derived from it, cached on first use:
-    each series prefix's extraction (``decompose``) and one ``block_ranks``
-    pass per block size (``ranks``). The caches are not locked: threads may
-    share an instance once it holds every block size they need, and two
-    that decompose one uncached prefix at once both extract it, to the
-    same bytes.
+    each series prefix's extraction (``decompose``) and one rank pass per
+    block size (``ranks``). The caches are not locked: threads may share
+    an instance once it holds every block size they need, and two that
+    decompose one uncached prefix at once both extract it, to the same bytes.
 
     A term of width n takes the non-zeros ranked below n, so a same-m
     series keeps those ranked below its sum_n. Each residual is built on
@@ -124,7 +112,9 @@ class RankedMatrix:
         return freeze(np.where(kept, 0.0, self.mat))
 
     def ranks(self, m: int) -> np.ndarray:
-        """``block_ranks(mat, m)``, computed once."""
+        """``_kernels.block_ranks(mat, m)``, computed once."""
+        if not (_is_int(m) and m > 0):
+            raise ValueError(f"m must be a positive integer, got {m!r}")
         ranks = self._ranks.get(m)
         if ranks is None:
             ranks = self._ranks[m] = block_ranks(self.mat, m)

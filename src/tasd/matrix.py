@@ -312,18 +312,10 @@ class NmCompressed:
         return int(np.count_nonzero(self.indices >= 0))
 
 
-def pad_blocks(arr: np.ndarray, m: int) -> np.ndarray:
-    """A writable copy of ``arr`` zero-padded on the right to whole m-blocks."""
-    rows, cols = arr.shape
-    padded = np.zeros((rows, -(-cols // m) * m))
-    padded[:, :cols] = arr
-    return padded
-
-
 def block_nnz(mat, m: int) -> np.ndarray:
     """Non-zeros in each m-block of each row, shaped rows x blocks."""
-    padded = pad_blocks(as_matrix(mat), m)
-    return np.count_nonzero(padded.reshape(padded.shape[0], -1, m), axis=2)
+    arr = as_matrix(mat)
+    return np.add.reduceat(arr != 0, np.arange(0, arr.shape[1], m), axis=1, dtype=np.intp)
 
 
 def extract_term(mat, pattern: NmPattern):
@@ -331,7 +323,7 @@ def extract_term(mat, pattern: NmPattern):
     frozen residual left behind; term + residual == mat."""
     arr = as_matrix(mat)
     rows, cols = arr.shape
-    padded = pad_blocks(arr, pattern.m)
+    padded = _kernels.pad_blocks(arr, pattern.m)
     values, indices = _kernels.extract_term_blocks(padded, pattern.n, pattern.m)
     term = NmCompressed(pattern, rows, cols, freeze(values), freeze(indices))
     return term, freeze(padded[:, :cols])

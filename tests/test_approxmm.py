@@ -241,14 +241,10 @@ class TestMatmul:
             (lambda: tasd._kernels.extract_into(np.ones((2, 8)), 2, 4, np.empty((2, 2, 2)),
                                                 np.empty((2, 2, 2), dtype=np.int32)),
              "cannot extract"),
-            (lambda: tasd._kernels.rank_into(np.ones((2, 4)), np.empty((2, 3), dtype=np.uint8)),
-             "cannot rank"),
-            (lambda: tasd._kernels.rank_into(np.ones((2, 4)), np.empty((2, 4), dtype=np.int64)),
-             "cannot rank"),
         ],
         ids=["inner", "out-shape", "out-strided", "index-shape", "blocks",
              "extract-width", "extract-strided", "extract-read-only", "extract-values-shape",
-             "extract-index-dtype", "rank-shape", "rank-dtype"],
+             "extract-index-dtype"],
     )
     def test_loop_refuses_mismatched_buffers(self, product, refusal):
         # the compiled kernels read and write through bare pointers

@@ -196,6 +196,24 @@ class TestBlockRanks:
         assert ranks.tolist() == py_ranks(mat, m).tolist()
 
 
+class TestKernelBlockRanks:
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, 8, 256])
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "read-only"])
+    def test_kernel_ranks_any_layout_and_leaves_it_alone(self, m, layout):
+        # 2 x 7 or 2 x 14 before slicing: every m but 1 ends in a partial block
+        mat = np.array([TIED_ROW[:7], TIED_ROW[4:]])
+        if layout == "strided":
+            mat = np.repeat(mat, 2, axis=1)[:, ::2]
+        elif layout == "read-only":
+            mat = np.frombuffer(mat.tobytes()).reshape(mat.shape)
+        before = mat.tobytes()
+        ranks = tasd._kernels.block_ranks(mat, m)
+        assert ranks.dtype == np.min_scalar_type(m)
+        assert ranks.shape == mat.shape
+        assert ranks.tobytes() == py_ranks(mat, m).astype(ranks.dtype).tobytes()
+        assert mat.tobytes() == before
+
+
 class TestDecompose:
     def test_mixed_blocks_lossless_series(self, example_2x8):
         d = decompose(example_2x8, "2:4+2:8")
@@ -377,6 +395,12 @@ class TestRankedMatrix:
             assert ranked.residual(spec).tobytes() == residual.tobytes()
             assert ranked.approximation(spec).tobytes() == approximate(mat, spec).tobytes()
             assert approximate(mat, spec).tobytes() == approximate(mat, cfg).tobytes()
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5, True, "4"])
+    def test_block_size_must_be_a_positive_integer(self, m):
+        # 0 used to divide by zero, -1 to fail a reshape, 2.5 and True a type check
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            RankedMatrix(np.ones((2, 8))).ranks(m)
 
     def test_signed_zero_stays_in_the_residual(self):
         mat = np.array([[-0.0, 3.0, 0.0, -2.0, 1.0]])

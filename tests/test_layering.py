@@ -327,6 +327,44 @@ def test_only_kernels_sort():
     assert found == []
 
 
+def _kernels_only(node):
+    """The names in ``node`` that no module but ``_kernels`` may use: the
+    ``ctypes`` module and attribute, the library's ``tasd_ranks``, and a
+    definition of ``pad_blocks`` or ``block_ranks``."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[0] for a in node.names} & {"ctypes"}
+    if isinstance(node, ast.ImportFrom):
+        return {node.module} & {"ctypes"}
+    if isinstance(node, ast.Attribute):
+        return {node.attr} & {"ctypes", "tasd_ranks"}
+    if isinstance(node, ast.FunctionDef):
+        return {node.name} & {"pad_blocks", "block_ranks"}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return {node.id} & {"pad_blocks", "block_ranks"}
+    return set()
+
+
+def test_only_kernels_reach_the_library():
+    # the compiled library reads bare pointers and knows the block layout,
+    # so one module hands it arrays, pads them to whole blocks and ranks
+    # them, and the rank pass has one Python entry
+    found = [
+        f"{module}.py line {node.lineno}: {sorted(_kernels_only(node))}"
+        for module in sorted(MODULES - {"_kernels"})
+        for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        if _kernels_only(node)
+    ]
+    assert found == []
+    tree = ast.parse((PACKAGE / "_kernels.py").read_text())
+    callers = {
+        function.name
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "tasd_ranks"
+    }
+    assert callers == {"block_ranks"}
+
+
 def test_only_matrix_sets_array_flags():
     # an object keeps each array it is given through ``matrix.held``, and
     # fresh results are frozen by ``matrix.freeze``; no other module marks
