@@ -1,24 +1,18 @@
 /* tasd's compiled kernels (see tasd/_kernels.py): the greedy order of each
    m-block's magnitudes, as block ranks or as the extraction of each
    block's n largest non-zeros, and the one loop of the pinned products.
-   All arrays are C-contiguous. */
+   All arrays are C-contiguous, and every block is 1 to MAX_M wide, which
+   tasd/_kernels.py checks before it passes a pointer. */
 
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 
 /* The greedy order ranks CHUNK blocks at once, so that its counts run
-   across blocks and vectorize; fewer when m is wide, so that the scratch
-   of magnitudes stays near SCRATCH doubles (one block's m at the least).
-   The chunk width changes no result. */
+   across blocks and vectorize, with their magnitudes in a scratch of
+   CHUNK * MAX_M doubles (32 KB) on the stack. The chunk width changes no
+   result. */
 #define CHUNK 64
-#define SCRATCH 4096
-
-static int64_t chunk_of(int64_t m)
-{
-    int64_t c = SCRATCH / m;
-    return c > CHUNK ? CHUNK : c < 1 ? 1 : c;
-}
+#define MAX_M 64
 
 /* mag[j * c + b] = |x| at slot j of block b, for the c blocks at x. */
 static void gather(const double *restrict x, int64_t c, int64_t m, double *restrict mag)
@@ -46,50 +40,33 @@ static void rank_slot(const double *restrict mag, int64_t c, int64_t m, int64_t 
             r[b] += mag[k * c + b] > v[b];
 }
 
-/* out = the rank of each of the blocks * m magnitudes at x, stored in
-   unsigned integers of `size` bytes. Returns -1 when the scratch cannot
-   be allocated, else 0. */
-int tasd_ranks(int64_t blocks, int64_t m, int64_t size, const double *restrict x,
-               void *restrict out)
+/* out = the rank of each of the blocks * m magnitudes at x. */
+void tasd_ranks(int64_t blocks, int64_t m, const double *restrict x, uint8_t *restrict out)
 {
-    int64_t c = chunk_of(m), r[CHUNK];
-    double *mag = malloc(c * m * sizeof *mag);
-    if (!mag)
-        return -1;
-    for (int64_t b0 = 0; b0 < blocks; b0 += c) {
-        int64_t w = blocks - b0 < c ? blocks - b0 : c;
+    int64_t r[CHUNK];
+    double mag[CHUNK * MAX_M];
+    for (int64_t b0 = 0; b0 < blocks; b0 += CHUNK) {
+        int64_t w = blocks - b0 < CHUNK ? blocks - b0 : CHUNK;
         gather(x + b0 * m, w, m, mag);
         for (int64_t j = 0; j < m; j++) {
             rank_slot(mag, w, m, j, r);
-            for (int64_t b = 0; b < w; b++) {
-                int64_t at = (b0 + b) * m + j;
-                switch (size) {
-                case 1: ((uint8_t *)out)[at] = r[b]; break;
-                case 2: ((uint16_t *)out)[at] = r[b]; break;
-                case 4: ((uint32_t *)out)[at] = r[b]; break;
-                default: ((uint64_t *)out)[at] = r[b];
-                }
-            }
+            for (int64_t b = 0; b < w; b++)
+                out[(b0 + b) * m + j] = r[b];
         }
     }
-    free(mag);
-    return 0;
 }
 
 /* Moves each block's slots ranked below n that hold a non-zero out of x
    (blocks * m values, zeroed there) into values and idx (blocks * n
    each), in ascending column order, and fills the rest of each block's
-   n slots with 0.0 and -1. Returns -1 when the scratch cannot be
-   allocated, else 0. */
-int tasd_extract(int64_t blocks, int64_t n, int64_t m, double *restrict x,
-                 double *restrict values, int64_t *restrict idx)
+   n slots with 0.0 and -1. */
+void tasd_extract(int64_t blocks, int64_t n, int64_t m, double *restrict x,
+                  double *restrict values, int64_t *restrict idx)
 {
-    int64_t c = chunk_of(m), r[CHUNK], taken[CHUNK];
-    double *mag = malloc(c * m * sizeof *mag);
-    if (!mag)
-        return -1;
-    for (int64_t b0 = 0; b0 < blocks; b0 += c) {
-        int64_t w = blocks - b0 < c ? blocks - b0 : c;
+    int64_t r[CHUNK], taken[CHUNK];
+    double mag[CHUNK * MAX_M];
+    for (int64_t b0 = 0; b0 < blocks; b0 += CHUNK) {
+        int64_t w = blocks - b0 < CHUNK ? blocks - b0 : CHUNK;
         double *xc = x + b0 * m;
         gather(xc, w, m, mag);
         for (int64_t b = 0; b < w; b++)
@@ -115,8 +92,6 @@ int tasd_extract(int64_t blocks, int64_t n, int64_t m, double *restrict x,
                 idx[s] = -1;
             }
     }
-    free(mag);
-    return 0;
 }
 
 /* The pinned products. Row i of a holds `blocks` blocks of n slots. Each

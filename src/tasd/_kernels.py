@@ -33,7 +33,9 @@ the source, the command and the host. ``ctypes`` releases the GIL during
 each call, so two sweep workers can run their kernels at the same time.
 Without a compiler, that first call raises an ``OSError`` that quotes the
 compiler's command. The shapes, dtypes and layouts of the arrays are
-checked here, since the library reads and writes through bare pointers.
+checked here, since the library reads and writes through bare pointers,
+and so is m: a block is at most ``MAX_M`` = 64 wide, the width the
+library's scratch on the stack holds, and a wider one is a ValueError.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from pathlib import Path
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("_kernels.c")
+MAX_M = 64  # the widest block, as ``#define MAX_M`` in _kernels.c
 _BUILD = threading.Lock()
 _lib = None
 
@@ -64,14 +67,14 @@ def pad_blocks(arr: np.ndarray, m: int) -> np.ndarray:
 
 
 def block_ranks(mat, m):
-    """Rank of each entry of the 2-D ``mat`` in its m-block, in the smallest
-    unsigned dtype that holds m: 0 for the largest magnitude, ties to the
-    lowest column. The zeros that pad a partial block rank last."""
-    lib = _lib or _built()
+    """Rank of each entry of the 2-D ``mat`` in its m-block, as ``uint8``:
+    0 for the largest magnitude, ties to the lowest column. The zeros that
+    pad a partial block rank last."""
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"cannot rank blocks of {m!r}, only 1 to {MAX_M} wide")
     padded = pad_blocks(mat, m)
-    ranks = np.empty(padded.shape, dtype=np.min_scalar_type(m))
-    if lib.tasd_ranks(padded.size // m, m, ranks.itemsize, padded.ctypes.data, ranks.ctypes.data):
-        raise MemoryError("no scratch for the block ranks")
+    ranks = np.empty(padded.shape, dtype=np.uint8)
+    (_lib or _built()).tasd_ranks(padded.size // m, m, padded.ctypes.data, ranks.ctypes.data)
     return ranks[:, :mat.shape[1]]
 
 
@@ -89,9 +92,8 @@ def extract_term_blocks(residual, n, m):
 def extract_into(residual, n, m, values, indices):
     """``extract_term_blocks(residual, n, m)``, into ``values`` and
     ``indices``, C-contiguous float64 and int64 arrays of its shape."""
-    lib = _lib or _built()
     rows, cols = residual.shape[0], residual.shape[-1]
-    if (residual.ndim != 2 or not 1 <= n <= m or cols % m
+    if (residual.ndim != 2 or not 1 <= n <= m <= MAX_M or cols % m
             or residual.dtype != np.float64
             or not (residual.flags.c_contiguous and residual.flags.writeable)
             or values.dtype != np.float64 or indices.dtype != np.int64
@@ -99,9 +101,8 @@ def extract_into(residual, n, m, values, indices):
                    or not (a.flags.c_contiguous and a.flags.writeable) for a in (values, indices))):
         raise ValueError(f"cannot extract {n}:{m} from {residual.shape} "
                          f"into {values.shape} and {indices.shape}")
-    if lib.tasd_extract(rows * cols // m, n, m, residual.ctypes.data,
-                        values.ctypes.data, indices.ctypes.data):
-        raise MemoryError("no scratch for the extraction")
+    (_lib or _built()).tasd_extract(rows * cols // m, n, m, residual.ctypes.data,
+                                    values.ctypes.data, indices.ctypes.data)
 
 
 def matmul_into(a, b, out):
@@ -176,10 +177,9 @@ def _built():
                 if cache is None:
                     shutil.rmtree(folder, ignore_errors=True)
             i64, ptr = ctypes.c_int64, ctypes.c_void_p
-            lib.tasd_ranks.restype = lib.tasd_extract.restype = ctypes.c_int
-            lib.tasd_ranks.argtypes = [i64] * 3 + [ptr] * 2
+            lib.tasd_ranks.restype = lib.tasd_extract.restype = lib.tasd_products.restype = None
+            lib.tasd_ranks.argtypes = [i64] * 2 + [ptr] * 2
             lib.tasd_extract.argtypes = [i64] * 3 + [ptr] * 3
-            lib.tasd_products.restype = None
             lib.tasd_products.argtypes = [i64] * 5 + [ptr] * 4
             _lib = lib
     return _lib

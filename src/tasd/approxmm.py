@@ -34,12 +34,15 @@ def matmul(a, b) -> DenseMatrix:
 def tasd_matmul(d: Decomposition, b):
     """Distribute the product over the series: sum of term @ b, accumulated
     in order into one output; returns (product, MACs). Only valid slots
-    multiply, so MACs = sum of nnz x b.cols. Every term's indices are checked
-    before b: corrupt ones raise ``CorruptIndices``, as in ``decode``."""
+    multiply, so MACs = sum of nnz x b.cols. Each term is checked before b:
+    a shape unlike the residual's raises ``DimensionMismatch``, and corrupt
+    indices ``CorruptIndices``, as in ``decode``."""
+    rows, cols = d.residual.shape
     for term in d.terms:
+        if (term.rows, term.cols) != (rows, cols):
+            raise DimensionMismatch(f"a {term.rows}x{term.cols} term in a {rows}x{cols} series")
         _check_indices(term)
     b = as_matrix(b)
-    rows, cols = d.residual.shape
     if cols != b.shape[0]:
         raise DimensionMismatch(f"series has {cols} cols but b has {b.shape[0]} rows")
     out = np.zeros((rows, b.shape[1]))

@@ -116,7 +116,8 @@ def sparsity(mat) -> float:
 
 @dataclass(frozen=True)
 class NmPattern:
-    """At most ``n`` non-zeros in each block of ``m`` consecutive columns."""
+    """At most ``n`` non-zeros in each block of ``m`` consecutive columns,
+    with m at most ``_kernels.MAX_M`` = 64."""
 
     n: int
     m: int
@@ -124,8 +125,8 @@ class NmPattern:
     def __post_init__(self):
         if not (_is_int(self.n) and _is_int(self.m)):
             raise ValueError("pattern n and m must be integers")
-        if not 1 <= self.n <= self.m:
-            raise ValueError(f"pattern needs 1 <= n <= m, got {self.n}:{self.m}")
+        if not 1 <= self.n <= self.m <= _kernels.MAX_M:
+            raise ValueError(f"pattern needs 1 <= n <= m <= {_kernels.MAX_M}, got {self}")
 
     @property
     def is_dense(self) -> bool:
@@ -217,8 +218,9 @@ class PatternMenu:
 
     def __post_init__(self):
         object.__setattr__(self, "base_patterns", frozenset(self.base_patterns))
-        if not (_is_int(self.m) and _is_int(self.max_terms)) or self.m < 1 or self.max_terms < 1:
-            raise ValueError("menu m and max_terms must be positive integers")
+        if not (_is_int(self.m) and _is_int(self.max_terms) and 1 <= self.m <= _kernels.MAX_M
+                and self.max_terms >= 1):
+            raise ValueError(f"menu needs an integer m in [1, {_kernels.MAX_M}] and max_terms >= 1")
         if not self.base_patterns:
             raise ValueError("menu needs at least one base pattern")
         for n in self.base_patterns:

@@ -241,10 +241,14 @@ class TestMatmul:
             (lambda: tasd._kernels.extract_into(np.ones((2, 8)), 2, 4, np.empty((2, 2, 2)),
                                                 np.empty((2, 2, 2), dtype=np.int32)),
              "cannot extract"),
+            (lambda: tasd._kernels.extract_into(np.ones((2, 130)), 1, 65, np.empty((2, 2, 1)),
+                                                np.empty((2, 2, 1), dtype=np.int64)),
+             "cannot extract"),
+            (lambda: tasd._kernels.block_ranks(np.ones((2, 130)), 65), "cannot rank"),
         ],
         ids=["inner", "out-shape", "out-strided", "index-shape", "blocks",
              "extract-width", "extract-strided", "extract-read-only", "extract-values-shape",
-             "extract-index-dtype"],
+             "extract-index-dtype", "extract-wide", "rank-wide"],
     )
     def test_loop_refuses_mismatched_buffers(self, product, refusal):
         # the compiled kernels read and write through bare pointers
@@ -395,6 +399,15 @@ class TestTasdMatmul:
         d = decompose(np.ones((2, 4)), "2:4")
         with pytest.raises(DimensionMismatch):
             tasd_matmul(d, np.ones((5, 2)))
+
+    @pytest.mark.parametrize("shape", [(4, 8), (8, 12)], ids=["rows", "cols"])
+    def test_terms_shaped_unlike_the_residual_are_refused(self, shape):
+        # a hand-built series: these used to reach the compiled loop and
+        # fail there with an untyped ValueError
+        term, _ = extract_term(np.ones(shape), NmPattern(2, 4))
+        d = Decomposition(TasdConfig((term.pattern,)), (term,), np.zeros((8, 8)))
+        with pytest.raises(DimensionMismatch, match="term in a 8x8 series"):
+            tasd_matmul(d, np.ones((8, 3)))
 
     @given(matrix_pairs(), st.sampled_from(pool_configs()))
     @settings(max_examples=80, deadline=None)

@@ -176,6 +176,9 @@ class TestDecompose:
         # malformed config text is a usage error
         assert run_cli("decompose", "--in", src, "--config", "5:4",
                        "--out-dir", tmp_path / "d").returncode == 1
+        # so is a block wider than the kernels take
+        assert main(["decompose", "--in", str(src), "--config", "1:65",
+                     "--out-dir", str(tmp_path / "d")]) == 1
         # unreadable input is a data error
         assert run_cli("decompose", "--in", tmp_path / "missing.tasd1",
                        "--config", "2:4", "--out-dir", tmp_path / "d").returncode == 2
@@ -778,6 +781,13 @@ class TestPatterns:
     def test_stc_table(self):
         proc = run_cli("patterns", "--hw", "stc-m4", check=True)
         assert proc.stdout == "total_n,realization\n1,-\n2,2:4\n3,-\n4,4:4\n"
+
+    def test_wide_block_spec_is_a_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "hw.json"
+        spec.write_text(json.dumps({**vegeta_m8().to_dict(), "m": 65}))
+        assert main(["patterns", "--hw", str(spec)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "64" in err[0]
 
     def test_many_terms_finish(self, tmp_path):
         # the table walked every multiset of up to max_terms bases

@@ -154,15 +154,24 @@ class TestExtractTerm:
     def test_matches_pure_python_reference(self, mat, pattern):
         self.assert_matches_reference(mat, pattern)
 
-    @pytest.mark.parametrize("m", [*range(1, 17), 17, 32, 64, 255, 256, 1024])
+    @pytest.mark.parametrize("m", [*range(1, 17), 17, 32, 63, 64])
     def test_packed_layout_of_tied_and_short_blocks(self, m):
-        # every n at this m (three at m = 1024), on rows of tied magnitudes
-        # with both zeros, one all tied and one all zero, ending in a
-        # partial block for every m above 1; blocks wider than 64 are
-        # ranked fewer at a time
+        # every n at this m, up to the widest block, on rows of tied
+        # magnitudes with both zeros, one all tied and one all zero, ending
+        # in a partial block for every m above 1
         row = np.resize(TIED_ROW, m + (m + 1) // 2)
         mat = np.array([row, row[::-1], np.full(row.size, -1.0), np.zeros(row.size)])
-        for n in (1, 512, 1023) if m == 1024 else range(1, m + 1):
+        for n in range(1, m + 1):
+            self.assert_matches_reference(mat, NmPattern(n, m))
+
+    @pytest.mark.parametrize("m", [3, 64])
+    def test_ranks_and_extraction_end_in_a_short_chunk(self, m):
+        # the kernels take 64 blocks at a time, across rows: 2 rows of 35
+        # blocks, the last one partial, end in a chunk of 6
+        rng = np.random.default_rng(m)
+        mat = rng.integers(-3, 4, size=(2, 35 * m - m // 2)).astype(np.float64)
+        assert tasd._kernels.block_ranks(mat, m).tolist() == py_ranks(mat, m).tolist()
+        for n in sorted({1, (m + 1) // 2, m}):
             self.assert_matches_reference(mat, NmPattern(n, m))
 
     @given(matrices(max_side=10), small_patterns)
@@ -185,19 +194,19 @@ class TestExtractTerm:
 
 
 class TestBlockRanks:
-    @pytest.mark.parametrize("m", [*range(1, 17), 255, 256])
+    @pytest.mark.parametrize("m", [*range(1, 17), 63, 64])
     @given(mat=tied_matrices())
     @settings(max_examples=25, deadline=None)
     def test_matches_pure_python_reference(self, m, mat):
         # partial blocks, ties and both signed zeros, at every block width
-        # up to 16 and either side of the uint8 -> uint16 rank dtype
+        # up to 16 and at the widest two
         ranks = tasd.decomp.block_ranks(mat, m)
-        assert ranks.dtype == np.min_scalar_type(m)
+        assert ranks.dtype == np.uint8
         assert ranks.tolist() == py_ranks(mat, m).tolist()
 
 
 class TestKernelBlockRanks:
-    @pytest.mark.parametrize("m", [1, 3, 4, 5, 8, 256])
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, 8, 64])
     @pytest.mark.parametrize("layout", ["contiguous", "strided", "read-only"])
     def test_kernel_ranks_any_layout_and_leaves_it_alone(self, m, layout):
         # 2 x 7 or 2 x 14 before slicing: every m but 1 ends in a partial block
@@ -208,10 +217,22 @@ class TestKernelBlockRanks:
             mat = np.frombuffer(mat.tobytes()).reshape(mat.shape)
         before = mat.tobytes()
         ranks = tasd._kernels.block_ranks(mat, m)
-        assert ranks.dtype == np.min_scalar_type(m)
+        assert ranks.dtype == np.uint8
         assert ranks.shape == mat.shape
         assert ranks.tobytes() == py_ranks(mat, m).astype(ranks.dtype).tobytes()
         assert mat.tobytes() == before
+
+    @pytest.mark.parametrize("m", [-1, 0, 65])
+    def test_kernel_refuses_blocks_outside_one_to_64(self, m):
+        # -1 used to fail to allocate its scratch, 0 to divide by zero
+        with pytest.raises(ValueError, match="cannot rank blocks"):
+            tasd._kernels.block_ranks(np.ones((2, 7)), m)
+
+    def test_true_ranks_as_one(self):
+        mat = np.array([TIED_ROW[:7], TIED_ROW[4:]])
+        ranks = tasd._kernels.block_ranks(mat, True)
+        assert ranks.dtype == np.uint8
+        assert ranks.tobytes() == tasd._kernels.block_ranks(mat, 1).tobytes()
 
 
 class TestDecompose:

@@ -103,6 +103,8 @@ class TestHwSpec:
             HwSpec.from_json(path)
         with pytest.raises(SchemaError):
             HwSpec.from_dict({"m": 8})
+        with pytest.raises(SchemaError, match="64"):
+            HwSpec.from_dict({**HW.to_dict(), "m": 65})
         with pytest.raises(SchemaError):
             HwSpec.from_dict(["nope"])
 

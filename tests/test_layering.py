@@ -9,6 +9,7 @@ import inspect
 import re
 from pathlib import Path
 
+import tasd._kernels
 import tasd.workload
 from tasd._parallel import map_ordered, resolve_workers
 from tasd.hwmodel import HwSpec
@@ -363,6 +364,15 @@ def test_only_kernels_reach_the_library():
         if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "tasd_ranks"
     }
     assert callers == {"block_ranks"}
+
+
+def test_kernels_refuse_what_the_stack_scratch_cannot_hold():
+    # the library keeps its magnitudes on the stack, sized by the C MAX_M,
+    # and _kernels.py refuses wider blocks by its own MAX_M: were the two
+    # to drift, a block the check lets through would write past the scratch
+    source = (PACKAGE / "_kernels.c").read_text()
+    assert re.findall(r"^#define MAX_M (\d+)$", source, re.M) == [str(tasd._kernels.MAX_M)]
+    assert re.findall(r"\b(?:malloc|calloc|realloc|free)\s*\(", source) == []
 
 
 def test_only_matrix_sets_array_flags():

@@ -32,7 +32,7 @@ from tasd import (
     sparsity,
 )
 from tasd.approxmm import ProductError
-from tasd.matrix import MAGIC, block_nnz, held
+from tasd.matrix import MAGIC, PatternMenu, block_nnz, held
 
 finite_entries = st.one_of(
     st.integers(-4, 4).map(float),
@@ -220,6 +220,14 @@ class TestNmPattern:
     def test_rejects_out_of_range(self, n, m):
         with pytest.raises(ValueError):
             NmPattern(n, m)
+
+    def test_rejects_blocks_wider_than_64(self):
+        # the compiled kernels hold one chunk of blocks at most 64 wide
+        assert NmPattern(1, 64).m == 64
+        for build in (lambda: NmPattern(1, 65), lambda: TasdConfig.parse("1:65"),
+                      lambda: PatternMenu(65, {1})):
+            with pytest.raises(ValueError, match="64"):
+                build()
 
     @pytest.mark.parametrize("n,m", [(True, 4), (1, True), (2.0, 4), ("2", 4)])
     def test_rejects_non_integers(self, n, m):

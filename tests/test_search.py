@@ -630,6 +630,8 @@ class TestAssignmentJson:
             self.load({"L0": {"no_terms": []}}, tmp_path)
         with pytest.raises(SchemaError):
             self.load({"L0": {"terms": [[9, 4]]}}, tmp_path)
+        with pytest.raises(SchemaError, match="64"):
+            self.load({"L0": {"terms": [[1, 65]]}}, tmp_path)
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         with pytest.raises(SchemaError):
